@@ -42,14 +42,16 @@ def _sum_power_int(nvars: int, e: int) -> tuple[tuple[Monomial, int], ...]:
     return tuple(out.items())
 
 
+@lru_cache(maxsize=None)
+def _neg_sum_power_mod(nvars: int, e: int, p: int) -> tuple[tuple[Monomial, int], ...]:
+    """(-(x_1+...+x_nvars))^e with coefficients mod p, zero ones dropped."""
+    sign = -1 if e % 2 else 1
+    return tuple((m, sign * a % p) for m, a in _sum_power_int(nvars, e) if a % p)
+
+
 def neg_sum_power(domain: CoeffDomain, nvars: int, e: int) -> ReducedPoly:
     """(-(x_1 + ... + x_{n-1}))^e as a ReducedPoly; this is x_n^e reduced."""
-    sign = 1 if e % 2 == 0 else -1
-    terms = {}
-    for m, a in _sum_power_int(nvars, e):
-        v = domain.from_int(sign * a)
-        if not domain.is_zero(v):
-            terms[m] = v
+    terms = {m: domain.from_int(a) for m, a in _neg_sum_power_mod(nvars, e, domain.p)}
     return ReducedPoly(domain, nvars, terms)
 
 

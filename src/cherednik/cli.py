@@ -11,6 +11,7 @@ import argparse
 import csv
 import datetime
 import json
+import random
 import re
 import sys
 import time
@@ -18,8 +19,8 @@ from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
 from .fields import CoeffDomain
-from .poly import ParseError, ReducedPoly, format_poly, parse_poly
-from .dunkl import DunklContext, check_commutators
+from .poly import ParseError, ReducedPoly, format_poly, parse_poly, random_homogeneous
+from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
 from .kernel import (
     BudgetExceeded,
     compute_graded_kernel,
@@ -376,6 +377,8 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures.append(line)
 
+    rng = random.Random(11)
+    core_checked, core_bad = 0, []
     for p, t, n in [(2, 0, 3), (3, 0, 4), (2, 1, 3), (3, 1, 4)]:
         ctx = DunklContext.make(n=n, p=p, t=t)
         rep = check_commutators(ctx, degree=3, trials=4, seed=11)
@@ -384,6 +387,13 @@ def cmd_selftest(args) -> int:
             bad = rep.failures[0]
             detail = f"(i={bad.i}, j={bad.j}, a={bad.a}, f={format_poly(bad.f)})"
         report(f"commutators p={p} t={t} n={n} ({rep.checked} identities)", rep.ok, detail)
+        for f in (random_homogeneous(ctx.domain, n - 1, d, rng) for d in (1, 2, 3)):
+            for i in range(1, n):
+                core_checked += 1
+                if dunkl_z(f, i, ctx) != dunkl(f, i, ctx).sub(dunkl(f, n, ctx)):
+                    core_bad.append(f"(p={p}, t={t}, n={n}, i={i}, f={format_poly(f)})")
+    detail = core_bad[0] if core_bad else ""
+    report(f"dunkl core vs divided differences ({core_checked} images)", not core_bad, detail)
 
     for p, t, n, dmax in [(2, 0, 3, 5), (2, 1, 3, 6), (3, 0, 4, 5)]:
         ctx = DunklContext.make(n=n, p=p, t=t)

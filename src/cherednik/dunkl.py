@@ -2,23 +2,27 @@
 
 D_{y_i} = t * d/dx_i - c * sum_{k != i} (x_i - x_k)^{-1} (1 - s_{ik})
 
-acts on reduced representatives (no x_n appears, so the derivative in slot n
-is zero and only the reflections s_{in} need the substitution).  Downstream
-code uses the operator basis {D_{y_i - y_n} : i = 1..n-1}.
-
-A specialized raw core handles characteristic 2 (both the fixed-c and the
-generic-c cases) on bare term dicts; everything else goes through domain
-scalar methods.  Both cores implement the same formulas.
+Downstream code uses the operator basis {D_{y_i - y_n} : i = 1..n-1}.  One
+term-level core applies D_{y_i - y_n} to unreduced n-slot term dicts with raw
+ring coefficients (ints for F_p, numerators for F_p(c), field elements for
+F_{p^k}) and the context's own c.  ``dunkl_z`` lifts a reduced
+representative to n slots, runs the core and reduces slot n through
+x_n = -(x_1 + ... + x_{n-1}); membership trees stay upstairs and reduce only
+their leaves.  ``dunkl`` applies the single operator D_{y_i} through divided
+differences and is kept as the independent oracle for the core.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .fields import CoeffDomain, PrimeField, RationalFunctionField
 from .poly import Monomial, ReducedPoly, random_homogeneous
-from .action import Transposition, _sum_power_int, apply_transposition
+from .action import Transposition, _neg_sum_power_mod, apply_transposition
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +38,6 @@ class DunklContext:
     n: int
     t: int
     domain: CoeffDomain
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -66,190 +69,163 @@ class DunklContext:
         return DunklContext(n=n, t=t, domain=dom)
 
 
-def _char2_mode(domain: CoeffDomain) -> str | None:
-    """'value' / 'generic' when the fast xor core applies, else None."""
-    if domain.p != 2:
-        return None
-    if isinstance(domain, PrimeField):
-        return "value"
-    if isinstance(domain, RationalFunctionField):
-        return "generic"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Characteristic-2 raw core: terms are dicts {exponent tuple: F_2[c] bitmask}
-# (value mode uses bit 0 only; c-multiplication is then a no-op since c = 1).
+# The Dunkl core on raw term dicts {exponent tuple: raw ring value}
 # ---------------------------------------------------------------------------
 
 
-def _xz_pairs(nv: int, e: int):
-    """Expansion of x_n^e = (sum_{j<n} x_j)^e mod 2 as (monomial, 1) pairs."""
-    return tuple((m, 1) for m, a in _sum_power_int(nv, e) if a % 2)
+class _Ring(NamedTuple):
+    """Raw coefficient arithmetic of one domain, bound once for the core.
 
-
-def _raw2_dunkl_z(terms: dict, i: int, n: int, t: int, c_shift: int) -> dict:
-    """D_{y_i - y_n} on a char-2 raw term dict; c_shift is 1 for generic c.
-
-    D_{y_i-y_n} = t d_i - c [ sum_{k != i, k <= n} delta_{ik}
-                              + sum_{k < n} delta_{kn} ]   (signs vanish mod 2)
+    Over F_p the core adds plain ints and reduces mod p only in ``norm``;
+    elsewhere ``norm`` is None and a raw value is falsy exactly when zero.
     """
-    nv = n - 1
-    out: dict[Monomial, int] = {}
 
-    def bump(m, v):
-        w = out.get(m, 0) ^ v
-        if w:
-            out[m] = w
-        else:
-            del out[m]
-
-    for m, v in terms.items():
-        if t == 1 and m[i - 1] & 1:
-            mm = list(m)
-            mm[i - 1] -= 1
-            bump(tuple(mm), v)
-        vc = v << c_shift
-        # pair differences delta_{ik}, k < n
-        a = m[i - 1]
-        for k in range(1, n):
-            if k == i:
-                continue
-            b = m[k - 1]
-            if a == b:
-                continue
-            lo, hi = (b, a) if a > b else (a, b)
-            tot = a + b - 1
-            mm = list(m)
-            for s in range(lo, hi):
-                mm[i - 1] = s
-                mm[k - 1] = tot - s
-                bump(tuple(mm), vc)
-            mm[i - 1] = a
-            mm[k - 1] = b
-        # substitution differences delta_{kn} for all k < n, plus delta_{in}
-        for k in range(1, n):
-            e = m[k - 1]
-            mult = 2 if k == i else 1  # delta_{in} appears in both sums
-            if mult == 2:
-                continue  # 2 * anything = 0 mod 2
-            if e == 0:
-                continue
-            base = list(m)
-            for s in range(e):
-                base[k - 1] = s
-                for xm, _one in _xz_pairs(nv, e - 1 - s):
-                    mm = tuple(bb + xx for bb, xx in zip(base, xm))
-                    bump(mm, vc)
-            base[k - 1] = e
-    return out
+    p: int
+    add: Callable
+    neg: Callable
+    mul: Callable
+    of_int: Callable
+    norm: Callable | None
+    zero: object
+    c: object
 
 
-def _general_dunkl_z(fpoly: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
-    """D_{y_i - y_n} via domain scalar ops (any characteristic)."""
-    dom = ctx.domain
-    n = ctx.n
-    nv = ctx.nvars
+@lru_cache(maxsize=None)
+def _ring(dom: CoeffDomain) -> _Ring:
+    if isinstance(dom, PrimeField):
+        p = dom.p
+
+        def mod_p(v):
+            return v % p
+
+        return _Ring(p, operator.add, operator.neg, operator.mul, mod_p, mod_p, 0, dom.c_value)
+    ring = dom.ring
+    # F_p(c) works on numerators in F_p[c]; F_{p^k} multiplies modulo its modulus
+    if isinstance(dom, RationalFunctionField):
+        arith, c = ring, dom.c_scalar()[0]
+    else:
+        arith, c = dom, dom.c_scalar()
+
+    def of_int(k):
+        return ring.from_coeffs((k,))
+
+    return _Ring(dom.p, arith.add, arith.neg, arith.mul, of_int, None, ring.zero, c)
+
+
+def _settle(out: dict, norm) -> dict:
+    """Normal forms of accumulated values, zero terms dropped."""
+    if norm is None:
+        return {m: v for m, v in out.items() if v}
+    return {m: w for m, v in out.items() if (w := norm(v))}
+
+
+def _dunkl_core(terms: dict, i: int, n: int, t: int, c, ring: _Ring) -> dict:
+    """D_{y_i - y_n} on raw n-slot terms, without reducing slot n.
+
+        D_{y_i-y_n} = t (d_i - d_n)
+                      - c [2 delta_{in} + sum_{k != i,n} (delta_{ik} + delta_{kn})]
+
+    where delta_{uw} = (1 - s_{uw}) / (x_u - x_w) sends x_u^a x_w^b to the
+    two-slot geometric sum sign(a - b) * sum_{min <= s < max} x_u^s x_w^{a+b-1-s}.
+    Reducing slot n afterwards is sound in every characteristic:
+    [y_i - y_n, x_1 + ... + x_n] = 0, so the operator preserves that ideal.
+    """
+    p, add, neg, mul, of_int, zero = ring.p, ring.add, ring.neg, ring.mul, ring.of_int, ring.zero
+    two = of_int(2)
+    # (u, w, doubled) for every delta_{uw} above, 0-based slots
+    deltas = [
+        (u, w, False)
+        for k in range(n - 1)
+        if k != i - 1
+        for u, w in ((i - 1, k), (k, n - 1))
+    ]
+    if two:
+        deltas.append((i - 1, n - 1, True))
     out: dict[Monomial, object] = {}
-
-    def bump(m, v):
-        if m in out:
-            s = dom.add(out[m], v)
-            if dom.is_zero(s):
-                del out[m]
-            else:
-                out[m] = s
-        elif not dom.is_zero(v):
-            out[m] = v
-
-    c_val = dom.c_scalar()
-    neg_c = dom.neg(c_val)
-    for m, v in fpoly.terms.items():
-        if ctx.t == 1:
-            e = m[i - 1]
-            if e % dom.p:
-                mm = list(m)
-                mm[i - 1] -= 1
-                bump(tuple(mm), dom.mul(v, dom.from_int(e)))
-        vc = dom.mul(v, neg_c)
-        neg_vc = dom.neg(vc)
-        a = m[i - 1]
-        # delta_{ik} for k < n, k != i
-        for k in range(1, n):
-            if k == i:
-                continue
-            b = m[k - 1]
+    for m, v in terms.items():
+        if t:
+            for slot, sv in ((i - 1, v), (n - 1, neg(v))):
+                e = m[slot] % p
+                if e:
+                    mm = list(m)
+                    mm[slot] -= 1
+                    key = tuple(mm)
+                    out[key] = add(out.get(key, zero), sv if e == 1 else mul(sv, of_int(e)))
+        if not c:
+            continue
+        cv = neg(mul(v, c))
+        cv2 = mul(cv, two)
+        for u, w, doubled in deltas:
+            a, b = m[u], m[w]
             if a == b:
                 continue
-            sgn_v = vc if a > b else neg_vc
-            lo, hi = (b, a) if a > b else (a, b)
+            sv = cv2 if doubled else cv
+            if a > b:
+                lo, hi = b, a
+            else:
+                lo, hi, sv = a, b, neg(sv)
             tot = a + b - 1
             mm = list(m)
             for s in range(lo, hi):
-                mm[i - 1] = s
-                mm[k - 1] = tot - s
-                bump(tuple(mm), sgn_v)
-            mm[i - 1] = a
-            mm[k - 1] = b
-        # delta_{kn} for k < n (with delta_{in} counted twice: once from
-        # sum_{k != i} delta_{ik}, once from the D_{y_n} part)
-        for k in range(1, n):
-            e = m[k - 1]
-            if e == 0:
-                continue
-            mult = dom.from_int(2) if k == i else dom.one
-            if dom.is_zero(mult):
-                continue
-            w = dom.mul(vc, mult)
-            base = list(m)
-            base[k - 1] = 0
-            rest = tuple(base)
-            for s in range(e):
-                u = e - 1 - s
-                sign = dom.one if u % 2 == 0 else dom.neg(dom.one)
-                ws = dom.mul(w, sign)
-                for xm, mult_int in _sum_power_int(nv, u):
-                    coef = dom.mul(ws, dom.from_int(mult_int))
-                    if dom.is_zero(coef):
-                        continue
-                    mm = list(xm)
-                    mm[k - 1] += s
-                    mm = tuple(r + x for r, x in zip(rest, mm))
-                    bump(mm, coef)
-    return ReducedPoly(dom, nv, out)
+                mm[u] = s
+                mm[w] = tot - s
+                key = tuple(mm)
+                out[key] = add(out.get(key, zero), sv)
+    return _settle(out, ring.norm)
 
 
-def _char2_unwrap(f: ReducedPoly, mode: str) -> dict:
-    """Strip generic-mode fraction tags down to bare F_2[c] bitmasks."""
-    if mode == "generic":
-        one = f.domain.ring.one
-        out = {}
-        for m, v in f.terms.items():
-            if v[1] != one:
-                raise ValueError("char-2 fast path needs polynomial coefficients")
-            out[m] = v[0]
-        return out
-    return f.terms
+def lift_raw(f: ReducedPoly) -> list[tuple[object, dict]]:
+    """f lifted to n slots as raw terms, in groups (denominator, terms).
+
+    D is F_p(c)-linear, so each denominator group of an F_p(c) polynomial
+    runs through the core on its numerators alone; the other domains form
+    one group with denominator None.
+    """
+    if not isinstance(f.domain, RationalFunctionField):
+        return [(None, {m + (0,): v for m, v in f.terms.items()})]
+    groups: dict[object, dict] = {}
+    for m, (num, den) in f.terms.items():
+        groups.setdefault(den, {})[m + (0,)] = num
+    return list(groups.items())
+
+
+def dunkl_z_raw(terms: dict, i: int, ctx: DunklContext) -> dict:
+    """D_{y_i - y_n} with the context's t and c on raw n-slot terms."""
+    ring = _ring(ctx.domain)
+    return _dunkl_core(terms, i, ctx.n, ctx.t, ring.c, ring)
+
+
+def reduce_raw(groups: list[tuple[object, dict]], ctx: DunklContext) -> ReducedPoly:
+    """Sum of raw n-slot groups, slot n reduced, as one reduced polynomial."""
+    dom = ctx.domain
+    ring = _ring(dom)
+    add, mul, of_int, zero = ring.add, ring.mul, ring.of_int, ring.zero
+    total = None
+    for den, terms in groups:
+        out: dict[Monomial, object] = {}
+        for m, v in terms.items():
+            rest, u = m[:-1], m[-1]
+            if not u:
+                out[rest] = add(out.get(rest, zero), v)
+                continue
+            for xm, k in _neg_sum_power_mod(ctx.nvars, u, dom.p):
+                key = tuple(map(operator.add, rest, xm))
+                out[key] = add(out.get(key, zero), v if k == 1 else mul(v, of_int(k)))
+        out = _settle(out, ring.norm)
+        if den is not None:
+            tag = (lambda v: (v, den)) if den == dom.ring.one else (lambda v: dom.make(v, den))
+            out = {m: tag(v) for m, v in out.items()}
+        part = ReducedPoly(dom, ctx.nvars, out)
+        total = part if total is None else total.add(part)
+    return total if total is not None else ReducedPoly.zero(dom, ctx.nvars)
 
 
 def dunkl_z(f: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
     """The workhorse operator D_{y_i - y_n}, i in 1..n-1."""
     if not 1 <= i <= ctx.nvars:
         raise ValueError(f"operator index {i} out of 1..{ctx.nvars}")
-    mode = _char2_mode(ctx.domain)
-    if mode is not None:
-        try:
-            raw = _char2_unwrap(f, mode)
-        except ValueError:
-            return _general_dunkl_z(f, i, ctx)
-        out = _raw2_dunkl_z(raw, i, ctx.n, ctx.t, 1 if mode == "generic" else 0)
-        if mode == "generic":
-            one = ctx.domain.ring.one
-            return ReducedPoly(
-                ctx.domain, ctx.nvars, {m: (v, one) for m, v in out.items()}
-            )
-        return ReducedPoly(ctx.domain, ctx.nvars, out)
-    return _general_dunkl_z(f, i, ctx)
+    return reduce_raw([(den, dunkl_z_raw(terms, i, ctx)) for den, terms in lift_raw(f)], ctx)
 
 
 def dunkl(f: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
@@ -299,34 +275,25 @@ def dunkl_difference(f: ReducedPoly, i: int, j: int, ctx: DunklContext) -> Reduc
 def dunkl_parts(f: ReducedPoly, i: int, j: int, ctx: DunklContext):
     """Split D_{y_i-y_j} f = alpha + c * beta (t = 1 only).
 
-    alpha is the plain derivative part (d_i - d_j) f; beta collects the
+    alpha is the plain derivative part (d_i - d_j) f, the core with
+    (t, c) = (1, 0); beta is the core with (t, c) = (0, 1), the
     divided-difference sums, so the identity holds as polynomials in c.
     """
     if ctx.t != 1:
         raise ValueError("the alpha/beta decomposition requires a t=1 context")
-    from .action import divided_difference
+    ring = _ring(ctx.domain)
+    groups = lift_raw(f)
 
-    dom = ctx.domain
-    nv = ctx.nvars
-    alpha = ReducedPoly.zero(dom, nv)
-    for idx, sign in ((i, 1), (j, -1)):
-        if idx == ctx.n:
-            continue  # derivative in slot n is zero on reduced representatives
-        dterms = {}
-        for m, v in f.terms.items():
-            e = m[idx - 1]
-            coef = dom.mul(v, dom.from_int(sign * e))
-            if e and not dom.is_zero(coef):
-                mm = list(m)
-                mm[idx - 1] -= 1
-                dterms[tuple(mm)] = coef
-        alpha = alpha.add(ReducedPoly(dom, nv, dterms))
-    beta = ReducedPoly.zero(dom, nv)
-    for k in range(1, ctx.n + 1):
-        if k != i:
-            beta = beta.sub(divided_difference(f, i, k, ctx.n))
-        if k != j:
-            beta = beta.add(divided_difference(f, j, k, ctx.n))
+    def part(k, t, c):
+        if k == ctx.n:  # D_{y_n - y_n} = 0
+            return ReducedPoly.zero(ctx.domain, ctx.nvars)
+        return reduce_raw(
+            [(den, _dunkl_core(terms, k, ctx.n, t, c, ring)) for den, terms in groups], ctx
+        )
+
+    one = ring.of_int(1)
+    alpha = part(i, 1, ring.zero).sub(part(j, 1, ring.zero))
+    beta = part(i, 0, one).sub(part(j, 0, one))
     return alpha, beta
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .fields import CoeffDomain, RationalFunctionField, Scalar
 from .poly import Monomial, ReducedPoly, monomial_index, monomials_of_degree
-from .action import Transposition, apply_transposition, reduce_last
-from .dunkl import DunklContext, dunkl_z
+from .action import Transposition, apply_transposition
+from .dunkl import DunklContext, dunkl_z, dunkl_z_raw, lift_raw, reduce_raw
 from . import linalg
 
 
@@ -302,11 +302,10 @@ def _multiset_children(a: tuple[int, ...], nv: int):
         yield j, a[: j - 1] + (a[j - 1] + 1,) + a[j:]
 
 
-def _gram_column(m: Monomial, d: int, ctx: DunklContext):
-    """All pairings B(a, x^m) for |a| = d, via a zero-pruned multiset tree."""
-    dom = ctx.domain
+def _pairings(f: ReducedPoly, d: int, ctx: DunklContext):
+    """All pairings B(a, f) for |a| = d, via a zero-pruned multiset tree."""
     nv = ctx.nvars
-    level = {(0,) * nv: ReducedPoly(dom, nv, {m: dom.one})}
+    level = {(0,) * nv: f}
     for _ in range(d):
         nxt: dict[tuple[int, ...], ReducedPoly] = {}
         for a, g in level.items():
@@ -346,7 +345,7 @@ def gram_oracle_kernel(
     matrix = [[adapter.zero] * n_monos for _ in rows_order]
     row_idx = {a: r for r, a in enumerate(rows_order)}
     for j, m in enumerate(monos):
-        for a, val in _gram_column(m, d, ctx).items():
+        for a, val in _pairings(ReducedPoly(dom, nv, {m: dom.one}), d, ctx).items():
             if generic:
                 if val[1] != ring_one:
                     raise AssertionError("pairing value must be polynomial in c")
@@ -446,75 +445,6 @@ def _tree_search(start_polys, apply_op, nv, depth, classes, is_zero):
     return level
 
 
-def _upstairs_lift(f: ReducedPoly) -> dict:
-    """Raw n-slot term dict of the reduced representative (x_n absent)."""
-    dom = f.domain
-    one = dom.ring.one
-    out = {}
-    for m, v in f.terms.items():
-        if v[1] != one:
-            raise ValueError("membership fast path needs polynomial coefficients")
-        out[m + (0,)] = v[0]
-    return out
-
-
-def _raw2_dunkl_z_upstairs(terms: dict, i: int, n: int, t: int, c_shift: int) -> dict:
-    """D_{y_i - y_n} on unreduced char-2 term dicts over n slots.
-
-    D_{y_i-y_n} = t (d_i - d_n) - c [ sum_{k != i} delta_{ik}
-                                      + sum_{k < n} delta_{kn} ]  (mod 2)
-    with every divided difference a plain two-slot geometric sum.
-    """
-    out: dict[Monomial, int] = {}
-
-    def bump(m, v):
-        w = out.get(m, 0) ^ v
-        if w:
-            out[m] = w
-        else:
-            del out[m]
-
-    def pair(m, v, u, w_):
-        a, b = m[u - 1], m[w_ - 1]
-        if a == b:
-            return
-        lo, hi = (b, a) if a > b else (a, b)
-        tot = a + b - 1
-        mm = list(m)
-        for s in range(lo, hi):
-            mm[u - 1] = s
-            mm[w_ - 1] = tot - s
-            bump(tuple(mm), v)
-        mm[u - 1] = a
-        mm[w_ - 1] = b
-
-    for m, v in terms.items():
-        if t == 1:
-            if m[i - 1] & 1:
-                mm = list(m)
-                mm[i - 1] -= 1
-                bump(tuple(mm), v)
-            if m[n - 1] & 1:
-                mm = list(m)
-                mm[n - 1] -= 1
-                bump(tuple(mm), v)
-        vc = v << c_shift
-        # delta_{in} enters both sums, so its 2x contribution is 0 mod 2
-        for k in range(1, n):
-            if k == i:
-                continue
-            pair(m, vc, i, k)
-            pair(m, vc, k, n)
-    return out
-
-
-def _upstairs_reduce(terms: dict, ctx: DunklContext) -> ReducedPoly:
-    dom = ctx.domain
-    one = dom.ring.one
-    poly = ReducedPoly(dom, ctx.n, {m: (v, one) for m, v in terms.items()})
-    return reduce_last(poly)
-
-
 def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -> Membership:
     """Decide f in ker B, with a nonzero-pairing witness on failure."""
     if f.is_zero():
@@ -553,36 +483,26 @@ def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -
         raise ValueError(f"unknown membership method {method!r}")
     # characteristic-2, t=1, generic c, odd n: ker B[3] = 0, so it is enough
     # to drive every operator multiset of weight d-3 and test the reduced
-    # images; intermediate images stay unreduced (no x_n substitution).
-    shift = 1
-    start = {(0,) * nv: _upstairs_lift(f)}
+    # images; intermediate images stay unreduced (no x_n substitution), as
+    # raw (denominator, terms) groups of the Dunkl core.
+    start = {(0,) * nv: lift_raw(f)}
     depth = d - 3
     leaves = _tree_search(
         start,
-        lambda g, j: _raw2_dunkl_z_upstairs(g, j, ctx.n, ctx.t, shift),
+        lambda g, j: [(den, h) for den, terms in g if (h := dunkl_z_raw(terms, j, ctx))],
         nv,
         depth,
         classes,
         lambda g: not g,
     )
     for a in sorted(leaves):
-        reduced = _upstairs_reduce(leaves[a], ctx)
+        reduced = reduce_raw(leaves[a], ctx)
         if reduced.is_zero():
             continue
         # extend the witness with a weight-3 tail on the reduced image
-        tail_level = {(0,) * nv: reduced}
-        for _ in range(3):
-            nxt = {}
-            for b, g in tail_level.items():
-                for j, child in _multiset_children(b, nv):
-                    if child in nxt:
-                        continue
-                    img = dunkl_z(g, j, ctx)
-                    if not img.is_zero():
-                        nxt[child] = img
-            tail_level = nxt
-        for b in sorted(tail_level):
-            val = tail_level[b].constant_term()
+        tail = _pairings(reduced, 3, ctx)
+        for b in sorted(tail):
+            val = tail[b]
             if not ctx.domain.is_zero(val):
                 witness = tuple(x + y for x, y in zip(a, b))
                 return Membership(False, witness, Scalar(ctx.domain, val), "cutoff")

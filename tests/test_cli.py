@@ -61,6 +61,16 @@ def test_hilbert_degenerate_small_case(tmp_path):
     assert rec["status"] == "ok"
 
 
+def test_hilbert_p2_c0_is_trivial(tmp_path):
+    # c = 0 at t = 0: every positive-degree polynomial lies in the kernel
+    proc = run_cli(
+        ["hilbert", "--p", "2", "--n", "3", "--t", "0", "--c", "0", "--no-cache"],
+        tmp_path,
+    )
+    assert proc.returncode in (0, 3)
+    assert record_of(proc)["series"]["coeffs"] == [1]
+
+
 def test_hilbert_exit_code_on_mismatch(tmp_path):
     # p=2, n=4, t=1 (p | n): computed (1+z)^3 disagrees with the conjecture
     proc = run_cli(["hilbert", "--p", "2", "--n", "4", "--t", "1"], tmp_path)
@@ -202,10 +212,12 @@ def test_sweep_and_resume(tmp_path):
     by_cell = {(r["p"], r["n"]): r for r in rows}
     assert by_cell[("2", "3")]["variant_B_match"] == "True"
     assert by_cell[("2", "3")]["series"] == "1 2 2 1"
-    # resumable: a second run hits the cache for every cell
+    runs = tmp_path / "cache" / "runs.jsonl"
+    assert len(runs.read_text().splitlines()) == 4
+    # resumable: a second run hits the cache for every cell and stores nothing
     proc2 = run_cli(args, tmp_path)
     assert proc2.returncode == 0
-    assert "cell p=2 n=3" in proc2.stderr
+    assert len(runs.read_text().splitlines()) == 4
 
 
 def test_sweep_empty_grid(tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherednik.action import reduce_last
 from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, format_poly, parse_poly, random_homogeneous
 from cherednik.dunkl import (
@@ -12,6 +13,7 @@ from cherednik.dunkl import (
     dunkl_difference,
     dunkl_parts,
     dunkl_z,
+    dunkl_z_raw,
 )
 
 
@@ -82,16 +84,67 @@ def test_difference_matches_single_dunkls():
                     )
 
 
-def test_char2_core_matches_general_core():
-    from cherednik.dunkl import _general_dunkl_z
+def _difference_oracle(f, i, ctx):
+    return dunkl(f, i, ctx).sub(dunkl(f, ctx.n, ctx))
 
-    rng = random.Random(9)
-    for t in (0, 1):
-        ctx = ctx_of(5, 2, t, c="generic" if t else None)
-        for _ in range(10):
-            f = random_homogeneous(ctx.domain, 4, rng.randint(1, 4), rng)
-            for i in range(1, 5):
-                assert dunkl_z(f, i, ctx) == _general_dunkl_z(f, i, ctx)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(3, 6),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+    seed=st.integers(0, 10**9),
+)
+def test_dunkl_z_matches_divided_differences(p, t, n, c, seed):
+    # the core against D_{y_i} - D_{y_n} built from divided differences
+    rng = random.Random(seed)
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    dom = ctx.domain
+    f = random_homogeneous(dom, n - 1, rng.randint(0, 3), rng)
+    if c == "generic" and f.terms:
+        # one coefficient over the non-trivial denominator c + 1
+        terms = dict(f.terms)
+        m = rng.choice(sorted(terms))
+        terms[m] = dom.div(terms[m], dom.from_c_poly((1, 1)))
+        f = ReducedPoly(dom, n - 1, terms)
+    for i in range(1, n):
+        assert dunkl_z(f, i, ctx) == _difference_oracle(f, i, ctx)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_p2_c0_uses_the_real_c(t):
+    # c = 0 at p = 2 leaves only t * (d_i - d_n); c must not be taken as 1
+    rng = random.Random(4)
+    for n in (3, 4, 5):
+        ctx = ctx_of(n, 2, t, c=0)
+        for _ in range(4):
+            f = random_homogeneous(ctx.domain, n - 1, rng.randint(1, 4), rng)
+            for i in range(1, n):
+                assert dunkl_z(f, i, ctx) == _difference_oracle(f, i, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(3, 5),
+    generic=st.booleans(),
+    seed=st.integers(0, 10**9),
+)
+def test_upstairs_core_commutes_with_reduction(p, t, n, generic, seed):
+    # reduce_last(D F) == D reduce_last(F) for unreduced n-slot F: the fact
+    # the cutoff membership route relies on when it reduces only its leaves
+    rng = random.Random(seed)
+    ctx = ctx_of(n, p, t, "generic" if generic else 1)
+    dom = ctx.domain
+    big = random_homogeneous(dom, n, rng.randint(0, 4), rng)
+    raw = {m: v[0] for m, v in big.terms.items()} if generic else dict(big.terms)
+    i = rng.randint(1, n - 1)
+    image = dunkl_z_raw(raw, i, ctx)
+    if generic:
+        image = {m: (v, dom.ring.one) for m, v in image.items()}
+    assert reduce_last(ReducedPoly(dom, n, image)) == dunkl_z(reduce_last(big), i, ctx)
 
 
 @settings(max_examples=120, deadline=None)

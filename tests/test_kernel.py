@@ -168,7 +168,13 @@ def test_membership_against_kernel_basis():
 def test_cutoff_path_matches_direct():
     # same verdicts from the depth-cutoff route and the full-depth route
     ctx = ctx_of(7, 2, 1)
-    for text, expect in [("x1^6", True), ("x1^4*x2^4", True), ("x1^5*x2", False)]:
+    cases = [
+        ("x1^6", True),
+        ("x1^4*x2^4", True),
+        ("x1^5*x2", False),
+        ("(1/(c+1))*x1^5*x2+x1^3*x2^3", False),
+    ]
+    for text, expect in cases:
         f = parse_poly(text, 6, ctx.domain)
         fast = is_in_kernel(f, ctx, method="cutoff")
         slow = is_in_kernel(f, ctx, method="direct")
