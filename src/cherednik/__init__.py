@@ -13,7 +13,6 @@ FORMAT_VERSION = 1
 from .fields import (  # noqa: F401
     CoeffDomain,
     DomainMismatchError,
-    EvaluatedField,
     PrimeField,
     RationalFunctionField,
     Scalar,

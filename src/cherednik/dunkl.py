@@ -4,12 +4,12 @@ D_{y_i} = t * d/dx_i - c * sum_{k != i} (x_i - x_k)^{-1} (1 - s_{ik})
 
 Downstream code uses the operator basis {D_{y_i - y_n} : i = 1..n-1}.  One
 term-level core applies D_{y_i - y_n} to unreduced n-slot term dicts with raw
-ring coefficients (ints for F_p, numerators for F_p(c), field elements for
-F_{p^k}) and the context's own c.  ``dunkl_z`` lifts a reduced
-representative to n slots, runs the core and reduces slot n through
-x_n = -(x_1 + ... + x_{n-1}); membership trees stay upstairs and reduce only
-their leaves.  ``dunkl`` applies the single operator D_{y_i} through divided
-differences and is kept as the independent oracle for the core.
+ring coefficients (ints for F_p, numerators for F_p(c)) and the context's
+own c.  ``dunkl_z`` lifts a reduced representative to n slots, runs the core
+and reduces slot n through x_n = -(x_1 + ... + x_{n-1}); membership trees
+stay upstairs and reduce only their leaves.  ``dunkl`` applies the single
+operator D_{y_i} through divided differences and is kept as the independent
+oracle for the core.
 """
 
 from __future__ import annotations
@@ -100,17 +100,13 @@ def _ring(dom: CoeffDomain) -> _Ring:
             return v % p
 
         return _Ring(p, operator.add, operator.neg, operator.mul, mod_p, mod_p, 0, dom.c_value)
+    # F_p(c) works on numerators in F_p[c]
     ring = dom.ring
-    # F_p(c) works on numerators in F_p[c]; F_{p^k} multiplies modulo its modulus
-    if isinstance(dom, RationalFunctionField):
-        arith, c = ring, dom.c_scalar()[0]
-    else:
-        arith, c = dom, dom.c_scalar()
 
     def of_int(k):
         return ring.from_coeffs((k,))
 
-    return _Ring(dom.p, arith.add, arith.neg, arith.mul, of_int, None, ring.zero, c)
+    return _Ring(dom.p, ring.add, ring.neg, ring.mul, of_int, None, ring.zero, dom.c_scalar()[0])
 
 
 def _settle(out: dict, norm) -> dict:

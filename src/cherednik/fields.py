@@ -1,18 +1,17 @@
 """Exact coefficient arithmetic: F_p and the rational function field F_p(c).
 
-Three coefficient domains are supported, all exposing the same field
-interface over opaque scalar values:
+The coefficient domains all expose the same field interface over opaque
+scalar values:
 
   * ``PrimeField(p, c)``      -- scalars are ints in [0, p); the deformation
                                  parameter c is a fixed residue mod p.
   * ``RationalFunctionField(p)`` -- "generic c": scalars are reduced fractions
                                  num/den of univariate polynomials in c over
                                  F_p, denominator monic, gcd(num, den) = 1.
-  * ``EvaluatedField(p, seed)`` -- Schwartz-Zippel mode: c is evaluated at a
-                                 random element of F_{p^k} with p^k >= 2^40.
-                                 Fast, but NOT certifying; identities that
-                                 hold here hold generically only with high
-                                 probability.
+                                 (``UncertifiedFunctionField``: --fast-eval)
+  * ``TableField``            -- F_{p^k} = F_p[c]/(m), p^k <= 2^16, by log/exp
+                                 tables: the points where F_p[c] matrices
+                                 are eliminated.
 
 Univariate polynomials over F_2 are packed into Python ints (bit i is the
 coefficient of c^i), so that addition is XOR and multiplication is a
@@ -22,8 +21,10 @@ trailing zeros, () being the zero polynomial.
 
 from __future__ import annotations
 
-import random
+import operator
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 
@@ -116,11 +117,6 @@ class GF2X:
     @staticmethod
     def monic(v: int) -> int:
         return v  # every nonzero F_2[c] polynomial is already monic
-
-    @staticmethod
-    def scalar_to_int(v: int) -> int:
-        """Constant polynomial -> residue; only valid when deg <= 0."""
-        return v
 
 
 class GFPX:
@@ -232,10 +228,6 @@ class CoeffDomain:
     def generic(p: int) -> "RationalFunctionField":
         return RationalFunctionField(p)
 
-    @staticmethod
-    def evaluated(p: int, seed: int = 0) -> "EvaluatedField":
-        return EvaluatedField(p, seed)
-
     # -- interface ----------------------------------------------------------
 
     def from_int(self, k: int):
@@ -337,10 +329,12 @@ class RationalFunctionField(CoeffDomain):
     """F_p(c): reduced fractions of univariate polynomials in c over F_p.
 
     Scalar values are pairs (num, den) of ring elements with den monic and
-    gcd(num, den) = 1; zero is canonically (0, 1).
+    gcd(num, den) = 1; zero is canonically (0, 1).  ``points_tried`` counts
+    the evaluation points ``linalg`` used, for per-degree reports.
     """
 
     c_mode = "generic"
+    certified = True
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -348,9 +342,10 @@ class RationalFunctionField(CoeffDomain):
         self.p = p
         self.ring = poly_ring(p)
         self._key = None
+        self.points_tried = 0
 
     def __repr__(self):
-        return f"RationalFunctionField(p={self.p})"
+        return f"{type(self).__name__}(p={self.p})"
 
     def make(self, num, den):
         """Normalize an arbitrary num/den pair to canonical reduced form."""
@@ -446,121 +441,155 @@ def _fmt_cpoly(coeffs: tuple[int, ...]) -> str:
     return "+".join(parts)
 
 
-class EvaluatedField(CoeffDomain):
-    """F_{p^k} with c bound to a pseudorandom point; Schwartz-Zippel mode.
+class UncertifiedFunctionField(RationalFunctionField):
+    """F_p(c) for ``--fast-eval``: eliminations skip the degree-bound certificate."""
 
-    k is chosen so that p^k >= 2^40.  Results match generic-c computations
-    only with high probability; this domain never certifies anything.
+    c_mode = "fast-eval"
+    certified = False
+
+
+# ---------------------------------------------------------------------------
+# Table fields F_{p^k} = F_p[c]/(m): the evaluation points of F_p(c)
+# ---------------------------------------------------------------------------
+
+
+def table_degree(p: int) -> int:
+    """The largest k >= 1 with p^k <= 2^16."""
+    return max([1] + [k for k in range(1, 17) if p**k <= 1 << 16])
+
+
+def _digits(code: int, p: int, k: int) -> list[int]:
+    return [code // p**i % p for i in range(k)]
+
+
+def _digitwise_sums(p: int, w: list[int]) -> list[int]:
+    """Code of x + w digit by digit mod p, for every code x of len(w) digits."""
+    return [
+        sum((d + e) % p * p**i for i, (d, e) in enumerate(zip(_digits(x, p, len(w)), w)))
+        for x in range(p ** len(w))
+    ]
+
+
+def _powmod(R, a, e: int, m):
+    result = R.one
+    while e:
+        if e & 1:
+            result = R.divmod(R.mul(result, a), m)[1]
+        a = R.divmod(R.mul(a, a), m)[1]
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=4)  # at most four fields, well under 2 MB of tables
+def point_field(p: int, j: int) -> "TableField":
+    """F_p[c]/(m) for the j-th primitive m = c^k + ..., k = table_degree(p).
+
+    Its point c mod m has full degree k, and distinct m put the points in
+    distinct Frobenius orbits.
+    """
+    k = table_degree(p)
+    return TableField(p, poly_ring(p).from_coeffs(_digits(_primitive_code(p, j), p, k) + [1]))
+
+
+@lru_cache(maxsize=None)
+def _primitive_code(p: int, j: int) -> int:
+    """Code of the lower coefficients of the j-th primitive c^k + ... over F_p.
+
+    Candidates run in the order of their codes, with no randomness; c of
+    order p^k - 1 mod m makes m primitive, and so irreducible.
+    """
+    if p > 1 << 16:
+        raise ValueError(f"generic c needs p < 2^16 for its table fields, got p = {p}")
+    R, k = poly_ring(p), table_degree(p)
+    order, c = p**k - 1, R.from_coeffs((0, 1))
+    cofactors = [order // ell for ell in range(2, order + 1) if order % ell == 0 and is_prime(ell)]
+    for code in range(_primitive_code(p, j - 1) + 1 if j else 1, order + 1):
+        m = R.from_coeffs(_digits(code, p, k) + [1])
+        if _powmod(R, c, order, m) == R.one and all(
+            _powmod(R, c, e, m) != R.one for e in cofactors
+        ):
+            return code
+    raise ArithmeticError(f"no primitive polynomial of degree {k} left over F_{p}")
+
+
+class TableField(CoeffDomain):
+    """F_{p^k} = F_p[c]/(m), m primitive of degree k, p^k <= 2^16.
+
+    A value is the code sum a_i p^i of its residue sum a_i c^i mod m (at
+    p = 2, the F_2[c] bitmask), 0 being zero.  c generates the units, so
+    log/exp tables (``array``, built in O(p^k)) give products.  Sums are XOR
+    at p = 2 and by the Zech relation a + b = a (1 + b/a) at odd p.
     """
 
-    c_mode = "evaluated"
+    c_mode = "point"
 
-    def __init__(self, p: int, seed: int = 0):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.seed = seed
-        self.ring = poly_ring(p)
-        k = 1
-        size = p
-        while size < 2**40:
-            size *= p
-            k += 1
-        self.ext_degree = k
-        self.modulus = self._find_irreducible(k, seed)
-        rng = random.Random(f"point-{p}-{seed}")
-        while True:
-            pt = self.ring.from_coeffs([rng.randrange(p) for _ in range(k)])
-            if pt != self.ring.zero and pt != self.ring.one:
-                break
-        self.point = pt
-        self._key = (seed,)
+    def __init__(self, p: int, modulus):
+        self.p, self.k, self.ring, self.modulus = p, table_degree(p), poly_ring(p), modulus
+        self.q = p**self.k
+        self.order = order = self.q - 1
+        self._key = modulus
+        # c * v shifts the digits up and adds top * (c^k mod m) digitwise,
+        # read from tables over the low h and the high k - h digits
+        k, h = self.k, self.k // 2
+        neg_m = [(-a) % p for a in self.ring.coeffs(modulus)[:k]]
+        low = [_digitwise_sums(p, [t * a % p for a in neg_m[:h]]) for t in range(p)]
+        high = [_digitwise_sums(p, [t * a % p for a in neg_m[h:]]) for t in range(p)]
+        top_weight, split = p ** (k - 1), p**h
+        self._exp = exp = array("H", bytes(4 * order))  # doubled: no mod in mul
+        self._log = log = array("H", bytes(2 * self.q))
+        code = 1
+        for i in range(order):
+            exp[i] = exp[i + order] = code
+            log[code] = i
+            top, rest = divmod(code, top_weight)
+            rest *= p
+            code = low[top][rest % split] + split * high[top][rest // split]
+        if p == 2:  # codes are F_2[c] bitmasks: sums are XOR, -a = a
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
 
-    def __repr__(self):
-        return f"EvaluatedField(p={self.p}, k={self.ext_degree}, seed={self.seed})"
-
-    def _find_irreducible(self, k: int, seed: int):
-        R = self.ring
-        rng = random.Random(f"modulus-{self.p}-{k}-{seed}")
-        x = R.from_coeffs([0, 1])
-        while True:
-            coeffs = [rng.randrange(self.p) for _ in range(k)] + [1]
-            g = R.from_coeffs(coeffs)
-            # irreducible iff x^(p^k) == x mod g and gcd(x^(p^d)-x, g)=1
-            # for every maximal proper divisor degree d of k
-            if self._powmod_frobenius(x, k, g) != R.divmod(x, g)[1]:
-                continue
-            ok = True
-            for d in range(1, k):
-                if k % d == 0 and is_prime(k // d):
-                    xd = self._powmod_frobenius(x, d, g)
-                    if R.gcd(R.sub(xd, x), g) != R.one:
-                        ok = False
-                        break
-            if ok:
-                return g
-
-    def _powmod_frobenius(self, x, times: int, g):
-        R = self.ring
-        v = R.divmod(x, g)[1]
-        for _ in range(times):
-            v = self._powmod(v, self.p, g)
-        return v
-
-    def _powmod(self, base, e: int, g):
-        R = self.ring
-        result = R.one
-        base = R.divmod(base, g)[1]
-        while e:
-            if e & 1:
-                result = R.divmod(R.mul(result, base), g)[1]
-            base = R.divmod(R.mul(base, base), g)[1]
-            e >>= 1
-        return result
-
-    def from_int(self, k: int):
-        return self.ring.from_coeffs((k,))
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.divmod(self.ring.mul(a, b), self.modulus)[1]
-
-    def inv(self, a):
-        R = self.ring
-        if a == R.zero:
-            raise ZeroDivisionError("inverse of zero in F_{p^k}")
-        # extended Euclid on (a, modulus)
-        r0, r1 = a, self.modulus
-        s0, s1 = R.one, R.zero
-        while r1 != R.zero:
-            q, rem = R.divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, R.sub(s0, R.mul(q, s1))
-        # r0 is a unit constant
-        if R.deg(r0) != 0:
-            raise ArithmeticError("modulus not irreducible")
+    def evaluate(self, poly) -> int:
+        """The value of an F_p[c] polynomial at the point c mod m."""
         if self.p == 2:
-            unit_inv = R.one
-        else:
-            unit_inv = (pow(r0[0], self.p - 2, self.p),)
-        return R.divmod(R.mul(s0, unit_inv), self.modulus)[1]
+            return poly if poly < self.q else GF2X.divmod(poly, self.modulus)[1]
+        if len(poly) > self.k:
+            poly = self.ring.divmod(poly, self.modulus)[1]
+        code = 0
+        for a in reversed(poly):
+            code = code * self.p + a
+        return code
+
+    def residue(self, a):
+        """The polynomial of degree < k whose value is a."""
+        return a if self.p == 2 else self.ring.from_coeffs(_digits(a, self.p, self.k))
+
+    def from_int(self, k: int) -> int:
+        return k % self.p
 
     def is_zero(self, a) -> bool:
-        return a == self.ring.zero
+        return not a
 
-    def c_scalar(self):
-        return self.point
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
-    def fmt(self, a) -> str:
-        return _fmt_cpoly(self.ring.coeffs(a)).replace("c", "w")
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero in F_{p^k}")
+        return self._exp[self.order - self._log[a]]
+
+    def add(self, a, b):
+        if not (a and b):
+            return a or b
+        exp, log, p = self._exp, self._log, self.p
+        x = exp[log[b] + self.order - log[a]]
+        one_plus_x = x - x % p + (x + 1) % p  # 1 + x steps the lowest digit
+        return exp[log[a] + log[one_plus_x]] if one_plus_x else 0
+
+    def neg(self, a):
+        return self._exp[self._log[a] + self.order // 2] if a else 0
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ class DegreeData:
     kernel_pivots: list[int]
     dim_l: int
     constraint_rows: list[list] = field(repr=False, default_factory=list)
+    points: int = 0  # evaluation points the F_p(c) routes tried, dropped ones included
+    seconds: float = 0.0
 
     @property
     def dim_kernel(self) -> int:
@@ -111,10 +113,12 @@ class GradedKernel:
             return self.degrees[d]
         if d - 1 not in self.degrees:
             self.compute_degree(d - 1)
+        start = time.perf_counter()
         ctx = self.ctx
         dom = ctx.domain
         nv = ctx.nvars
         adapter = self.adapter
+        points_before = getattr(dom, "points_tried", 0)
         prev = self.degrees[d - 1]
         monos = monomials_of_degree(nv, d)
         ncols = len(monos)
@@ -139,12 +143,12 @@ class GradedKernel:
             raise AssertionError("rank accounting failed")
         constraint_rows = []
         for srow in rref:
-            cleared = adapter.clear_denominators(srow)
-            dense = [adapter.zero] * ncols
-            for col, v in cleared.items():
-                dense[col] = v
-            constraint_rows.append(adapter.strip_row(dense))
-        data = DegreeData(d, ncols, kernel_rows, kernel_pivots, dim_l, constraint_rows)
+            constraint_rows.append(adapter.strip_row(adapter.clear_denominators(srow, ncols)))
+        points = getattr(dom, "points_tried", 0) - points_before
+        data = DegreeData(
+            d, ncols, kernel_rows, kernel_pivots, dim_l, constraint_rows,
+            points, time.perf_counter() - start,
+        )
         self.degrees[d] = data
         return data
 

@@ -1,30 +1,24 @@
-"""Exact row reduction over F_p, F_p(c) and F_{p^k}.
+"""Exact row reduction over F_p, F_p(c) and the table fields F_{p^k}.
 
 The kernel engine needs three things, all deterministic:
 
   * compose A = R * D column-by-column, where R is a small dense matrix of
     ring values (the constraint rows of the previous degree) and D is a
     sparse Dunkl matrix whose entries have tiny c-degree;
-  * a fraction-free row echelon form of A over the coefficient ring, with
-    per-row content stripping so entries stay small;
-  * canonical RREF rows over the field, and the kernel of A extracted from
-    them, again in canonical RREF under the graded-lex column order.
+  * the canonical RREF of A, and the kernel of A extracted from it, again
+    in canonical RREF under the graded-lex column order.
 
-Generic-c elimination never divides: rows are cross-multiplied and stripped
-by their content gcd; division by pivots happens once per degree when rows
-are converted to field fractions.  Characteristic-2 rows are packed into
+Over a field rows are eliminated directly.  Over F_p(c) an F_p[c] matrix is
+evaluated at points of small table fields, reduced there, rebuilt by CRT and
+rational reconstruction and certified exactly by a degree bound
+(``_modular_rref`` gives the proof).  Characteristic-2 rows are packed into
 single big integers (entries are F_2[c] bitmasks laid side by side) so that
 the inner product against a sparse column is a handful of shifts and XORs.
 """
 
 from __future__ import annotations
 
-from .fields import (
-    CoeffDomain,
-    EvaluatedField,
-    PrimeField,
-    RationalFunctionField,
-)
+from .fields import CoeffDomain, PrimeField, RationalFunctionField, point_field
 
 
 class RingAdapter:
@@ -52,9 +46,6 @@ class RingAdapter:
     def mul(self, a, b):
         return self.ring.mul(a, b) if self.is_generic else self.domain.mul(a, b)
 
-    def neg(self, a):
-        return self.ring.neg(a) if self.is_generic else self.domain.neg(a)
-
     def is_zero(self, a):
         return a == self.zero if self.is_generic else self.domain.is_zero(a)
 
@@ -76,31 +67,29 @@ class RingAdapter:
 
     # -- conversions between ring values and domain field scalars -------------
 
-    def to_scalar(self, v):
-        if self.is_generic:
-            return (v, self.one)
-        return v
-
     def scalar_div(self, a, b):
         """Field division of two ring values, as a domain scalar."""
         if self.is_generic:
             return self.domain.make(a, b)
         return self.domain.div(a, b)
 
-    def clear_denominators(self, scalar_row: dict):
-        """Sparse dict of field scalars -> (dense-able dict of ring values)."""
+    def clear_denominators(self, scalar_row: dict, ncols: int) -> list:
+        """Sparse dict of field scalars -> dense row of ring values, times the lcm
+        of the denominators."""
+        dense = [self.zero] * ncols
         if not self.is_generic:
-            return dict(scalar_row)
+            for col, v in scalar_row.items():
+                dense[col] = v
+            return dense
         R = self.ring
         den = self.one
         for num, d in scalar_row.values():
             if d != self.one:
                 g = R.gcd(den, d)
                 den = R.mul(den, R.divmod(d, g)[0])
-        out = {}
         for col, (num, d) in scalar_row.items():
-            out[col] = R.mul(num, R.divmod(den, d)[0])
-        return out
+            dense[col] = R.mul(num, R.divmod(den, d)[0])
+        return dense
 
 
 def adapter_for(domain: CoeffDomain) -> RingAdapter:
@@ -142,11 +131,7 @@ def compose_rows_columns(
         return []
     dom = adapter.domain
     p = dom.p
-    gf2_like = p == 2 and (
-        isinstance(dom, (PrimeField, RationalFunctionField))
-        or (isinstance(dom, EvaluatedField))
-    )
-    if gf2_like:
+    if p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
         max_r = max(
             (v.bit_length() for row in R_rows for v in row), default=1
         )
@@ -168,16 +153,9 @@ def compose_rows_columns(
                     v ^= low
             out_cols.append(acc)
         rows = []
-        need_reduce = isinstance(dom, EvaluatedField)
         for r in range(L):
             sh = r * width
-            row = []
-            for acc in out_cols:
-                v = (acc >> sh) & mask
-                if need_reduce and v:
-                    v = dom.ring.divmod(v, dom.modulus)[1]
-                row.append(v)
-            rows.append(row)
+            rows.append([(acc >> sh) & mask for acc in out_cols])
         return rows
     if isinstance(dom, PrimeField):
         # additive packing: entries < p, accumulated sums stay below 2^width
@@ -208,17 +186,21 @@ def compose_rows_columns(
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free echelon + canonical RREF + kernel extraction
+# Echelon, canonical RREF and kernel extraction
 # ---------------------------------------------------------------------------
 
 
 def echelon(adapter: RingAdapter, rows: list[list]) -> tuple[list[list], list[int]]:
     """Forward elimination; returns (pivot rows in order, pivot column list).
 
-    Deterministic: scans columns left to right, picks the first remaining row
-    with a nonzero entry.  Generic mode cross-multiplies and strips content;
-    field modes divide directly.
+    Over a field it scans columns left to right, picks the first remaining
+    row with a nonzero entry and divides directly.  Over F_p(c) it is the
+    certified modular route (``_modular_rref``), and the pivot rows come
+    back fully reduced: canonical RREF rows with their denominators cleared.
     """
+    if adapter.is_generic and rows:
+        rref, pivots = _modular_rref(adapter, rows)
+        return [adapter.clear_denominators(row, len(rows[0])) for row in rref], pivots
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -242,18 +224,11 @@ def echelon(adapter: RingAdapter, rows: list[list]) -> tuple[list[list], list[in
             rv = row[col]
             if adapter.is_zero(rv):
                 continue
-            if adapter.is_generic:
-                new = [
-                    adapter.sub(adapter.mul(pval, row[k]), adapter.mul(rv, prow[k]))
-                    for k in range(ncols)
-                ]
-                work[ridx] = adapter.strip_row(new)
-            else:
-                factor = adapter.domain.div(rv, pval)
-                work[ridx] = [
-                    adapter.sub(row[k], adapter.mul(factor, prow[k]))
-                    for k in range(ncols)
-                ]
+            factor = adapter.domain.div(rv, pval)
+            work[ridx] = [
+                adapter.sub(row[k], adapter.mul(factor, prow[k]))
+                for k in range(ncols)
+            ]
         pivot_rows.append(prow)
         pivot_cols.append(col)
         row_start += 1
@@ -265,7 +240,11 @@ def echelon(adapter: RingAdapter, rows: list[list]) -> tuple[list[list], list[in
 def rref_scalar_rows(
     adapter: RingAdapter, pivot_rows: list[list], pivot_cols: list[int]
 ) -> list[dict[int, object]]:
-    """Back-substitute and normalize to sparse RREF rows of field scalars."""
+    """Back-substitute and normalize to sparse RREF rows of field scalars.
+
+    F_p(c) pivot rows come from ``echelon`` already reduced, so for them
+    only the division by the pivot entry runs.
+    """
     nrows = len(pivot_rows)
     rows = [list(r) for r in pivot_rows]
     ncols = len(rows[0]) if rows else 0
@@ -276,22 +255,11 @@ def rref_scalar_rows(
             uv = rows[up][pc]
             if adapter.is_zero(uv):
                 continue
-            if adapter.is_generic:
-                rows[up] = adapter.strip_row(
-                    [
-                        adapter.sub(
-                            adapter.mul(pv, rows[up][k]),
-                            adapter.mul(uv, rows[r][k]),
-                        )
-                        for k in range(ncols)
-                    ]
-                )
-            else:
-                factor = adapter.domain.div(uv, pv)
-                rows[up] = [
-                    adapter.sub(rows[up][k], adapter.mul(factor, rows[r][k]))
-                    for k in range(ncols)
-                ]
+            factor = adapter.domain.div(uv, pv)
+            rows[up] = [
+                adapter.sub(rows[up][k], adapter.mul(factor, rows[r][k]))
+                for k in range(ncols)
+            ]
     out = []
     for r in range(nrows):
         pc = pivot_cols[r]
@@ -364,7 +332,20 @@ def kernel_from_rref(
     pivot_cols: list[int],
     ncols: int,
 ):
-    """Kernel of the constraint matrix, as canonical sparse RREF rows."""
+    """Kernel of the constraint matrix, as canonical sparse RREF rows.
+
+    Over F_p(c) the modular route reduces the kernel basis read off the rows,
+    so the kernel is certified against them too.
+    """
+    vectors = natural_kernel(domain, rref_rows, pivot_cols, ncols)
+    if not isinstance(domain, RationalFunctionField) or not vectors:
+        return sparse_rref(domain, vectors)
+    adapter = RingAdapter(domain)
+    return _modular_rref(adapter, [adapter.clear_denominators(v, ncols) for v in vectors])
+
+
+def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, ncols: int) -> list[dict]:
+    """One kernel vector per free column f: e_f minus column f of the rows."""
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     vectors = []
@@ -375,7 +356,7 @@ def kernel_from_rref(
             if coef is not None and not domain.is_zero(coef):
                 v[pc] = domain.neg(coef)
         vectors.append(v)
-    return sparse_rref(domain, vectors)
+    return vectors
 
 
 def identity_kernel(domain: CoeffDomain, ncols: int):
@@ -405,3 +386,134 @@ def reduce_by_rref(
             else:
                 v[k] = nv
     return v
+
+
+# ---------------------------------------------------------------------------
+# Generic c: eliminate at points, rebuild in F_p(c), certify
+# ---------------------------------------------------------------------------
+
+MAX_POINTS = 16  # a sum of degrees >= 64; real matrices need one or two points
+
+
+def _modular_rref(adapter: RingAdapter, rows: list[list]):
+    """(canonical RREF rows over F_p(c), pivots) of a nonempty A over F_p[c].
+
+    A is reduced at the points of ``point_field`` in turn.  The highest rank,
+    then the earliest pivots, wins (specializing c only lowers the ranks of
+    leading column blocks) and disagreeing points are dropped.  Entries are
+    rebuilt by CRT modulo the product of the kept points' minimal
+    polynomials m_j and rational reconstruction, and returned once
+    ``_certified`` holds; otherwise another point is added.
+
+    Proof.  Let r be the rank at the kept points, R the rebuilt rows and V
+    the kernel basis read off R, one vector per free column, each vector
+    times the lcm of its denominators.  rank A >= r, as a minor nonzero at a
+    point is nonzero.  Each rebuilt num/den has den(alpha_j) != 0 and
+    reduces to the point's entry, so R(alpha_j) is the RREF of A(alpha_j),
+    V(alpha_j) spans its kernel and every entry of A V^T vanishes at alpha_j:
+    m_j divides it.  The m_j are distinct irreducibles, and the degree bound
+    keeps each entry below the degree of their product, so A V^T = 0.  V has
+    M - r independent vectors in ker A, so rank A = r and ker A = span V.
+    The r rows of R have distinct pivots and annihilate V by construction,
+    so they span the row space of A and, being in RREF form, are its RREF.
+    A bad point fails the certificate, so it costs time but never changes
+    the answer.  ``--fast-eval`` (an ``UncertifiedFunctionField``) skips it.
+    """
+    dom, R = adapter.domain, adapter.ring
+    ncols = len(rows[0])
+    # largest degree per column: the largest int at p = 2, the longest tuple else
+    colmax = [R.deg(max(col, key=None if R.p == 2 else len)) for col in zip(*rows)]
+    used, best = [], None
+    for j in range(MAX_POINTS):
+        F = point_field(dom.p, j)
+        dom.points_tried += 1
+        at = [{c: x for c, v in enumerate(row) if v and (x := F.evaluate(v))} for row in rows]
+        point_rows, pivots = sparse_rref(F, at)
+        key = (-len(pivots), pivots)
+        if used and key != best:
+            if key > best:
+                continue  # lower rank or later pivots: a bad point
+            used = []
+        best = key
+        used.append((F, point_rows))
+        rebuilt = _reconstruct(R, used)
+        if rebuilt is not None and (
+            not dom.certified
+            or _certified(R, colmax, rebuilt, natural_kernel(dom, rebuilt, pivots, ncols), used)
+        ):
+            return rebuilt, pivots
+    raise ArithmeticError(f"no certified elimination after {MAX_POINTS} points")
+
+
+def _certified(R, colmax, rebuilt, kernel, used) -> bool:
+    """Degree bound on A V^T, then agreement with the rows at every point."""
+    top = -1
+    for v in kernel:
+        den = R.one
+        for _, d in v.values():
+            if d != R.one:
+                den = R.mul(den, R.divmod(d, R.gcd(den, d))[0])
+        for c, (num, d) in v.items():
+            if colmax[c] >= 0:
+                top = max(top, colmax[c] + R.deg(num) + R.deg(den) - R.deg(d))
+    if top >= sum(F.k for F, _ in used):
+        return False
+    for F, rows in used:
+        if len(rebuilt) != len(rows):
+            return False
+        for mine, theirs in zip(rebuilt, rows):
+            for col in mine.keys() | theirs.keys():
+                num, den = mine.get(col, (R.zero, R.one))
+                d = F.evaluate(den)
+                if not d or F.evaluate(num) != F.mul(d, theirs.get(col, 0)):
+                    return False
+    return True
+
+
+def _reconstruct(R, used):
+    """The point rows' entries rebuilt in F_p(c), or None if one fails."""
+    modulus = R.one
+    for F, _ in used:
+        modulus = R.mul(modulus, F.modulus)
+    weights = []  # CRT: 1 mod its own point's modulus, 0 mod the others
+    for F, _ in used:
+        rest = R.divmod(modulus, F.modulus)[0]
+        weights.append(R.mul(rest, F.residue(F.inv(F.evaluate(rest)))))
+    memo: dict = {}
+    out = []
+    for point_rows in zip(*(rows for _, rows in used)):
+        row = {}
+        for col in sorted(set().union(*point_rows)):
+            values = tuple(r.get(col, 0) for r in point_rows)
+            if values not in memo:
+                u = R.zero
+                for (F, _), w, v in zip(used, weights, values):
+                    u = R.add(u, R.mul(w, F.residue(v)))
+                memo[values] = _rational(R, R.divmod(u, modulus)[1], modulus)
+            if memo[values] is None:
+                return None
+            if memo[values][0] != R.zero:
+                row[col] = memo[values]
+        out.append(row)
+    return out
+
+
+def _rational(R, u, m):
+    """Coprime (num, den), den monic, with num = den * u mod m, or None.
+
+    Maximal-quotient rational reconstruction (Monagan, ISSAC 2004): the
+    Euclid pair before the largest quotient, which needs degree >= 2.
+    """
+    if u == R.zero:
+        return R.zero, R.one
+    r0, r1, t0, t1 = m, u, R.zero, R.one
+    best, top = None, 1
+    while r1 != R.zero:
+        q, rem = R.divmod(r0, r1)
+        if R.deg(q) > top:
+            best, top = (r1, t1), R.deg(q)
+        r0, r1, t0, t1 = r1, rem, t1, R.sub(t0, R.mul(q, t1))
+    if best is None or R.deg(R.gcd(*best)) > 0:
+        return None
+    unit = R.from_coeffs((pow(R.coeffs(best[1])[-1], R.p - 2, R.p),))
+    return R.mul(best[0], unit), R.mul(best[1], unit)

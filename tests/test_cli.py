@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cherednik
+from cherednik.cli import _run_cell
 
 PKG = [sys.executable, "-m", "cherednik"]
 # the directory holding the package this test process imported, so the CLI
@@ -69,6 +71,37 @@ def test_hilbert_p2_c0_is_trivial(tmp_path):
     )
     assert proc.returncode in (0, 3)
     assert record_of(proc)["series"]["coeffs"] == [1]
+
+
+def test_hilbert_c0_conjecture_not_applicable(tmp_path):
+    # the conjectures are for c != 0; at c = 0, t = 0 the series is [1]
+    proc = run_cli(
+        ["hilbert", "--p", "3", "--n", "4", "--t", "0", "--c", "0", "--no-cache"],
+        tmp_path,
+    )
+    assert proc.returncode == 0
+    rec = record_of(proc)
+    assert rec["series"]["coeffs"] == [1]
+    assert rec["conjecture"] == {}
+    assert any("not applicable" in note for note in rec["notes"])
+    assert "MISMATCH" not in proc.stderr
+
+
+def test_t1_record_reports_per_degree_timing():
+    rec = _run_cell(2, 5, 1, "generic", None, False).to_json()
+    per_degree = rec["timing"]["per_degree"]
+    assert [row["degree"] for row in per_degree] == list(range(1, 14))
+    for row in per_degree:
+        assert set(row) == {"degree", "M", "L", "points", "seconds"}
+        assert [row["M"], row["L"]] == [rec["dims"][str(row["degree"])][i] for i in (0, 2)]
+    # every degree up to the first zero of L is eliminated at one point or more
+    assert [row["points"] >= 1 for row in per_degree] == [d <= 11 for d in range(1, 14)]
+    # everything outside timing is byte-identical to the record the
+    # fraction-free elimination wrote for this cell
+    text = json.dumps(strip_timing(rec), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "11b5b994c0227698d9091bf81c06fb671f509a987b9c391eb4dbd2b5dc0f603d"
+    )
 
 
 def test_hilbert_exit_code_on_mismatch(tmp_path):

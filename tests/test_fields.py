@@ -118,22 +118,6 @@ def test_gfpx_monic_gcd():
     assert g == R.from_coeffs((2, 1))
 
 
-def test_evaluated_field_roundtrip():
-    dom = CoeffDomain.evaluated(2, seed=7)
-    assert dom.ext_degree >= 40
-    x = dom.c_scalar()
-    xi = dom.inv(x)
-    assert dom.mul(x, xi) == dom.one
-    with pytest.raises(ZeroDivisionError):
-        dom.inv(dom.zero)
-
-
-def test_evaluated_seeds_differ():
-    d1 = CoeffDomain.evaluated(2, seed=1)
-    d2 = CoeffDomain.evaluated(2, seed=2)
-    assert d1.point != d2.point or d1.modulus != d2.modulus
-
-
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         CoeffDomain.prime(4)

@@ -1,0 +1,203 @@
+"""The certified modular route over F_p(c) and the table fields it runs on."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cherednik import linalg
+from cherednik.fields import CoeffDomain, point_field
+
+
+def field_fraction_route(dom, A):
+    """RREF and kernel by direct elimination over F_p(c): the independent oracle."""
+    R = dom.ring
+    rows = [{j: (v, R.one) for j, v in enumerate(row) if v != R.zero} for row in A]
+    rref, pivots = linalg.sparse_rref(dom, rows)
+    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, len(A[0])))
+    return (rref, pivots), kernel
+
+
+def modular_route(dom, A):
+    adapter = linalg.adapter_for(dom)
+    rows, pivots = linalg.echelon(adapter, A)
+    rref = linalg.rref_scalar_rows(adapter, rows, pivots)
+    return (rref, pivots), linalg.kernel_from_rref(dom, rref, pivots, len(A[0]))
+
+
+def low_rank(R, left, right):
+    return [
+        [
+            sum_polys(R, [R.mul(a, brow[j]) for a, brow in zip(lrow, right)])
+            for j in range(len(right[0]))
+        ]
+        for lrow in left
+    ]
+
+
+def sum_polys(R, values):
+    out = R.zero
+    for v in values:
+        out = R.add(out, v)
+    return out
+
+
+def at_point(F, A):
+    return [{j: F.evaluate(v) for j, v in enumerate(row) if F.evaluate(v)} for row in A]
+
+
+@st.composite
+def poly_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = CoeffDomain.generic(p).ring
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rank = draw(st.integers(1, 4))
+
+    def poly():
+        return R.from_coeffs(draw(st.lists(st.integers(0, p - 1), max_size=3)))
+
+    left = [[poly() for _ in range(rank)] for _ in range(nrows)]
+    right = [[poly() for _ in range(ncols)] for _ in range(rank)]
+    return p, low_rank(R, left, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices())
+def test_route_matches_field_fraction_rref(case):
+    p, A = case
+    dom = CoeffDomain.generic(p)
+    assert modular_route(dom, A) == field_fraction_route(dom, A)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("bad", [0, 1])
+def test_bad_point_is_dropped(p, bad):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    F = point_field(p, bad)
+    c = R.from_coeffs((0, 1))
+    base = [[R.one, c, R.add(c, R.one)], [c, R.one, R.zero]]
+    A = [base[0], [R.mul(F.modulus, v) for v in base[1]]]
+    # at the bad point the second row vanishes, so the rank drops to 1
+    assert len(linalg.sparse_rref(F, at_point(F, A))[1]) == 1
+    # entries of degree k + 1 need two good points: the bad point is dropped
+    # whether it comes first or between them, so three points are tried
+    assert linalg.echelon(linalg.adapter_for(dom), A)[1] == [0, 1]
+    assert dom.points_tried == 3
+    assert modular_route(dom, A) == field_fraction_route(dom, A)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs",
+    [
+        # entries of degree 9 and 10 against a budget of k = 16 per point
+        (2, [[(1, 1) + (0,) * 7 + (1,), (1,) + (0,) * 9 + (1,), (1, 1)]]),
+        # entries of degree 6 and 7 against a budget of k = 10 per point
+        (3, [[(1, 1) + (0,) * 4 + (1,), (2,) + (0,) * 6 + (1,), (0, 1)]]),
+    ],
+)
+def test_entries_past_one_point_need_crt(p, coeffs):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    A = [[R.from_coeffs(v) for v in row] for row in coeffs]
+    A.append([R.mul(A[0][0], R.from_coeffs((0, 1))), R.one, A[0][1]])
+    adapter = linalg.adapter_for(dom)
+    linalg.echelon(adapter, A)
+    assert dom.points_tried >= 2
+    assert modular_route(dom, A) == field_fraction_route(dom, A)
+
+
+def _one_point(dom, A):
+    """(colmax, used, rebuilt rows, pivots) of the route at the first point."""
+    R = dom.ring
+    F = point_field(dom.p, 0)
+    rows, pivots = linalg.sparse_rref(F, at_point(F, A))
+    used = [(F, rows)]
+    colmax = [max(R.deg(row[j]) for row in A) for j in range(len(A[0]))]
+    return colmax, used, linalg._reconstruct(R, used), pivots
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_rejects_a_perturbed_entry(p):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    c = R.from_coeffs((0, 1))
+    c1 = R.add(c, R.one)
+    A = [[c, R.one, c1, R.zero], [R.one, c1, R.mul(c, c), c], [c1, R.add(c1, c1), R.one, R.one]]
+    colmax, used, rebuilt, pivots = _one_point(dom, A)
+    ncols = len(A[0])
+
+    def certified(rows):
+        partners = linalg.natural_kernel(dom, rows, pivots, ncols)
+        return linalg._certified(R, colmax, rows, partners, used)
+
+    assert certified(rebuilt)
+    row = dict(rebuilt[0])
+    col = next(j for j in row if j not in pivots)
+    num, den = row[col]
+    row[col] = (R.add(num, den), den)  # the entry plus one
+    assert not certified([row] + rebuilt[1:])
+
+
+def test_certificate_needs_the_degree_bound():
+    dom = CoeffDomain.generic(2)
+    R = dom.ring
+    c = R.from_coeffs((0, 1))
+    A = [[R.one, c, R.mul(c, c)], [c, R.one, R.one]]
+    colmax, used, rebuilt, pivots = _one_point(dom, A)
+    partners = linalg.natural_kernel(dom, rebuilt, pivots, 3)
+    assert linalg._certified(R, colmax, rebuilt, partners, used)
+    # the same rows, claimed for a matrix of degree 16 = the point's budget
+    assert not linalg._certified(R, [16] * 3, rebuilt, partners, used)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_table_field_generator_has_full_order(p):
+    F = point_field(p, 0)
+    g = F.evaluate(F.ring.from_coeffs((0, 1)))
+
+    def power(a, e):
+        out = F.one
+        while e:
+            if e & 1:
+                out = F.mul(out, a)
+            a = F.mul(a, a)
+            e >>= 1
+        return out
+
+    order = F.q - 1
+    assert F.q == p**F.k <= 1 << 16 and F.q * p > 1 << 16
+    assert power(g, order) == F.one
+    ell, rest = 2, order
+    while rest > 1:
+        if rest % ell == 0:
+            assert power(g, order // ell) != F.one
+            while rest % ell == 0:
+                rest //= ell
+        ell += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.integers(0, 4), min_size=16, max_size=16),
+    st.lists(st.integers(0, 4), min_size=16, max_size=16),
+    st.integers(0, 1),
+)
+def test_table_field_matches_polynomial_arithmetic(p, xs, ys, j):
+    F = point_field(p, j)
+    R, m = F.ring, F.modulus
+    a, b = R.from_coeffs(xs[: F.k]), R.from_coeffs(ys[: F.k])
+    ea, eb = F.evaluate(a), F.evaluate(b)
+    assert F.residue(ea) == a and F.residue(eb) == b
+    assert F.residue(F.add(ea, eb)) == R.add(a, b)
+    assert F.residue(F.sub(ea, eb)) == R.sub(a, b)
+    assert F.residue(F.neg(ea)) == R.neg(a)
+    assert F.residue(F.mul(ea, eb)) == R.divmod(R.mul(a, b), m)[1]
+    # evaluating a polynomial of degree >= k reduces it mod m first
+    big = R.mul(a, R.from_coeffs((0,) * F.k + (1,)))
+    assert F.evaluate(big) == F.evaluate(R.divmod(big, m)[1])
+    if a != R.zero:
+        assert R.divmod(R.mul(F.residue(F.inv(ea)), a), m)[1] == R.one
+        assert F.div(eb, ea) == F.mul(eb, F.inv(ea))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(ea)
