@@ -85,6 +85,11 @@ def _run_cell(
     budget_seconds: float | None = None,
 ) -> RunRecord:
     """Compute one (p, n, t) cell and assemble its RunRecord."""
+    return _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds)[0]
+
+
+def _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds):
+    """(RunRecord, the graded kernel it was read from, or None past the budget)."""
     start = time.monotonic()
     c_mode = c
     if fast_eval and c == "generic":
@@ -111,7 +116,7 @@ def _run_cell(
         record.status = "exceeded_cap"
         record.notes.append(str(exc))
         record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
-        return record
+        return record, None
     record.series = series.to_json()
     record.dims = {str(d): list(v) for d, v in gk.dims().items()}
     record.timing["per_degree"] = [
@@ -145,7 +150,7 @@ def _run_cell(
             "message": rep.message,
         }
     record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
-    return record
+    return record, gk
 
 
 def _fast_eval_series(p, n, t, max_degree, budget_seconds):
@@ -181,19 +186,19 @@ def cmd_hilbert(args) -> int:
     cache = RunCache(args.cache_dir)
     c_mode = "fast-eval" if (args.fast_eval and c == "generic") else c
     key = RunRecord.make_key(args.p, args.n, args.t, c_mode)
-    record = None
+    record = gk = None
     if not args.no_cache:
         record = cache.lookup(key)
         if record is not None:
             record.notes = list(record.notes) + ["cache hit"]
     if record is None:
-        record = _run_cell(
-            args.p, args.n, args.t, c, args.max_degree, args.fast_eval
+        record, gk = _cell_and_kernel(
+            args.p, args.n, args.t, c, args.max_degree, args.fast_eval, None
         )
         cache.store(record)
-    if args.dump_kernel and record.status == "ok" and c_mode not in ("fast-eval",):
-        ctx = _context(args.p, args.n, args.t, c)
-        gk = compute_graded_kernel(ctx, max_degree=args.max_degree)
+    if args.dump_kernel and record.status == "ok" and c_mode != "fast-eval":
+        if gk is None:  # a cache hit: the record was stored without its kernel
+            gk = compute_graded_kernel(_context(args.p, args.n, args.t, c), max_degree=args.max_degree)
         Path(args.dump_kernel).write_text(
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
         )
@@ -400,7 +405,7 @@ def cmd_selftest(args) -> int:
     elim_bad = []
     for p, rank, nrows, ncols in [(2, 2, 4, 5), (2, 3, 6, 7), (2, 1, 3, 6), (3, 2, 5, 4), (3, 3, 4, 7)]:
         dom = CoeffDomain.generic(p)
-        R, adapter = dom.ring, linalg.adapter_for(dom)
+        R, adapter = dom.ring, linalg.RingAdapter(dom)
         rand = [[R.from_coeffs([rng.randrange(p) for _ in range(3)]) for _ in range(ncols)] for _ in range(rank + nrows)]
         A = [[reduce(R.add, (R.mul(a, b[j]) for a, b in zip(row, rand[:rank])), R.zero) for j in range(ncols)] for row in rand[rank:]]
         want = linalg.sparse_rref(dom, [{j: (v, R.one) for j, v in enumerate(r) if v} for r in A])

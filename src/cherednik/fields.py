@@ -588,9 +588,6 @@ class TableField(CoeffDomain):
     def neg(self, a):
         return self._exp[self._log[a] + self.order // 2] if a else 0
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
 
 # ---------------------------------------------------------------------------
 # Tagged scalars (public arithmetic surface with domain checking)

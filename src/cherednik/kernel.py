@@ -70,7 +70,7 @@ class GradedKernel:
 
     def __init__(self, ctx: DunklContext):
         self.ctx = ctx
-        self.adapter = linalg.adapter_for(ctx.domain)
+        self.adapter = linalg.RingAdapter(ctx.domain)
         self.completed = False
         self.first_zero_degree: int | None = None
         zero_data = DegreeData(
@@ -342,7 +342,7 @@ def gram_oracle_kernel(
             f"Gram matrix would need {n_monos * n_monos} pairings; "
             "use the recursive kernel engine instead"
         )
-    adapter = linalg.adapter_for(dom)
+    adapter = linalg.RingAdapter(dom)
     generic = isinstance(dom, RationalFunctionField)
     ring_one = dom.ring.one if generic else None
     rows_order = monomials_of_degree(nv, d)  # y-multisets, same ordering
@@ -356,7 +356,7 @@ def gram_oracle_kernel(
                 raw = val[0]
             else:
                 raw = val
-            if not adapter.is_zero(raw):
+            if raw:
                 matrix[row_idx[a]][j] = raw
     ech_rows, ech_pivots = linalg.echelon(adapter, matrix)
     rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)

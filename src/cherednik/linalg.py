@@ -8,12 +8,14 @@ The kernel engine needs three things, all deterministic:
   * the canonical RREF of A, and the kernel of A extracted from it, again
     in canonical RREF under the graded-lex column order.
 
-Over a field rows are eliminated directly.  Over F_p(c) an F_p[c] matrix is
-evaluated at points of small table fields, reduced there, rebuilt by CRT and
-rational reconstruction and certified exactly by a degree bound
-(``_modular_rref`` gives the proof).  Characteristic-2 rows are packed into
-single big integers (entries are F_2[c] bitmasks laid side by side) so that
-the inner product against a sparse column is a handful of shifts and XORs.
+One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
+Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
+matrix is evaluated at points of small table fields, reduced there by the
+same routine, rebuilt by CRT and rational reconstruction and certified
+exactly by a degree bound (``_modular_rref`` gives the proof).
+Characteristic-2 rows are packed into single big integers (entries are
+F_2[c] bitmasks laid side by side) so that the inner product against a
+sparse column is a handful of shifts and XORs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .fields import CoeffDomain, PrimeField, RationalFunctionField, point_field
 
 
 class RingAdapter:
-    """Elimination operations on raw coefficient values for one domain."""
+    """Conversions between raw coefficient values and field scalars."""
 
     def __init__(self, domain: CoeffDomain):
         self.domain = domain
@@ -34,20 +36,6 @@ class RingAdapter:
         else:
             self.zero = domain.from_int(0)
             self.one = domain.from_int(1)
-
-    # -- raw ring ops (polynomials for generic mode, field values otherwise) --
-
-    def add(self, a, b):
-        return self.ring.add(a, b) if self.is_generic else self.domain.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b) if self.is_generic else self.domain.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b) if self.is_generic else self.domain.mul(a, b)
-
-    def is_zero(self, a):
-        return a == self.zero if self.is_generic else self.domain.is_zero(a)
 
     def strip_row(self, row):
         """Divide a row by its content so entries stay small (generic mode)."""
@@ -64,8 +52,6 @@ class RingAdapter:
         if g == self.zero or R.deg(g) == 0:
             return row
         return [R.divmod(v, g)[0] if v != self.zero else v for v in row]
-
-    # -- conversions between ring values and domain field scalars -------------
 
     def scalar_div(self, a, b):
         """Field division of two ring values, as a domain scalar."""
@@ -90,10 +76,6 @@ class RingAdapter:
         for col, (num, d) in scalar_row.items():
             dense[col] = R.mul(num, R.divmod(den, d)[0])
         return dense
-
-
-def adapter_for(domain: CoeffDomain) -> RingAdapter:
-    return RingAdapter(domain)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +155,15 @@ def compose_rows_columns(
             sh = r * width
             rows.append([((acc >> sh) & mask) % p for acc in out_cols])
         return rows
-    # general fallback: domain/ring arithmetic entry by entry
-    rows = [[adapter.zero] * ncols for _ in range(L)]
+    # F_p(c) at odd p: F_p[c] arithmetic entry by entry
+    R = adapter.ring
+    rows = [[R.zero] * ncols for _ in range(L)]
     for j, col in enumerate(dunkl_columns):
         for k, v in col.items():
             for r in range(L):
                 rv = R_rows[r][k]
-                if adapter.is_zero(rv):
-                    continue
-                rows[r][j] = adapter.add(rows[r][j], adapter.mul(rv, v))
+                if rv:
+                    rows[r][j] = R.add(rows[r][j], R.mul(rv, v))
     return rows
 
 
@@ -191,93 +173,51 @@ def compose_rows_columns(
 
 
 def echelon(adapter: RingAdapter, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Forward elimination; returns (pivot rows in order, pivot column list).
+    """Canonical RREF of a dense matrix of ring values: (dense rows, pivots).
 
-    Over a field it scans columns left to right, picks the first remaining
-    row with a nonzero entry and divides directly.  Over F_p(c) it is the
-    certified modular route (``_modular_rref``), and the pivot rows come
-    back fully reduced: canonical RREF rows with their denominators cleared.
+    Over a field the nonzero entries go to ``sparse_rref``.  Over F_p(c) it
+    is the certified modular route (``_modular_rref``) and the rows come back
+    with their denominators cleared.
     """
-    if adapter.is_generic and rows:
-        rref, pivots = _modular_rref(adapter, rows)
-        return [adapter.clear_denominators(row, len(rows[0])) for row in rref], pivots
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivot_rows: list[list] = []
-    pivot_cols: list[int] = []
-    row_start = 0
-    for col in range(ncols):
-        sel = None
-        for ridx in range(row_start, len(work)):
-            if not adapter.is_zero(work[ridx][col]):
-                sel = ridx
-                break
-        if sel is None:
-            continue
-        work[row_start], work[sel] = work[sel], work[row_start]
-        prow = work[row_start]
-        pval = prow[col]
-        for ridx in range(row_start + 1, len(work)):
-            row = work[ridx]
-            rv = row[col]
-            if adapter.is_zero(rv):
-                continue
-            factor = adapter.domain.div(rv, pval)
-            work[ridx] = [
-                adapter.sub(row[k], adapter.mul(factor, prow[k]))
-                for k in range(ncols)
-            ]
-        pivot_rows.append(prow)
-        pivot_cols.append(col)
-        row_start += 1
-        if row_start == len(work):
-            break
-    return pivot_rows, pivot_cols
+    if adapter.is_generic:
+        rref, pivots = _modular_rref(adapter, rows)
+    else:
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        rref, pivots = sparse_rref(adapter.domain, sparse)
+    return [adapter.clear_denominators(row, len(rows[0])) for row in rref], pivots
 
 
 def rref_scalar_rows(
     adapter: RingAdapter, pivot_rows: list[list], pivot_cols: list[int]
 ) -> list[dict[int, object]]:
-    """Back-substitute and normalize to sparse RREF rows of field scalars.
+    """``echelon``'s dense rows as sparse rows of field scalars, pivot entry 1."""
+    return [
+        {k: adapter.scalar_div(v, row[pc]) for k, v in enumerate(row) if v}
+        for row, pc in zip(pivot_rows, pivot_cols)
+    ]
 
-    F_p(c) pivot rows come from ``echelon`` already reduced, so for them
-    only the division by the pivot entry runs.
-    """
-    nrows = len(pivot_rows)
-    rows = [list(r) for r in pivot_rows]
-    ncols = len(rows[0]) if rows else 0
-    for r in range(nrows - 1, -1, -1):
-        pc = pivot_cols[r]
-        pv = rows[r][pc]
-        for up in range(r):
-            uv = rows[up][pc]
-            if adapter.is_zero(uv):
-                continue
-            factor = adapter.domain.div(uv, pv)
-            rows[up] = [
-                adapter.sub(rows[up][k], adapter.mul(factor, rows[r][k]))
-                for k in range(ncols)
-            ]
-    out = []
-    for r in range(nrows):
-        pc = pivot_cols[r]
-        pv = rows[r][pc]
-        srow: dict[int, object] = {}
-        for k in range(ncols):
-            v = rows[r][k]
-            if not adapter.is_zero(v):
-                srow[k] = adapter.scalar_div(v, pv)
-        out.append(srow)
-    return out
+
+def _subtract_multiple(domain: CoeffDomain, row: dict, fac, prow: dict) -> None:
+    """row -= fac * prow in place; entries that become zero are dropped."""
+    neg, add, mul, is_zero = domain.neg(fac), domain.add, domain.mul, domain.is_zero
+    for k, v in prow.items():
+        cur = row.get(k)
+        nv = mul(neg, v) if cur is None else add(cur, mul(neg, v))
+        if is_zero(nv):
+            row.pop(k, None)
+        else:
+            row[k] = nv
 
 
 def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
     """Canonical RREF of sparse field-scalar rows; returns (rows, pivot cols).
 
     Rows are dicts {column index: scalar value}; the column order is the
-    integer order (graded-lex descending monomial rank).
+    integer order (graded-lex descending monomial rank).  A row operation
+    that leaves the lead entry in place means the field's arithmetic is
+    wrong: it raises ArithmeticError rather than loop.
     """
     pivots: dict[int, dict[int, object]] = {}
     for row in rows:
@@ -285,43 +225,18 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
         while row:
             lead = min(row)
             if lead not in pivots:
-                lv = row[lead]
-                inv = domain.inv(lv)
-                row = {k: domain.mul(v, inv) for k, v in row.items()}
-                pivots[lead] = row
+                inv = domain.inv(row[lead])
+                pivots[lead] = {k: domain.mul(v, inv) for k, v in row.items()}
                 break
-            prow = pivots[lead]
-            fac = row[lead]
-            for k, v in prow.items():
-                cur = row.get(k)
-                nv = (
-                    domain.sub(cur, domain.mul(fac, v))
-                    if cur is not None
-                    else domain.neg(domain.mul(fac, v))
-                )
-                if domain.is_zero(nv):
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
+            _subtract_multiple(domain, row, row[lead], pivots[lead])
+            if lead in row:
+                raise ArithmeticError(f"a row operation left column {lead} nonzero")
     # back-substitution across pivot rows
-    cols_desc = sorted(pivots, reverse=True)
-    for pc in cols_desc:
+    for pc in sorted(pivots, reverse=True):
         prow = pivots[pc]
         for qc, qrow in pivots.items():
-            if qc == pc or pc not in qrow:
-                continue
-            fac = qrow[pc]
-            for k, v in prow.items():
-                cur = qrow.get(k)
-                nv = (
-                    domain.sub(cur, domain.mul(fac, v))
-                    if cur is not None
-                    else domain.neg(domain.mul(fac, v))
-                )
-                if domain.is_zero(nv):
-                    qrow.pop(k, None)
-                else:
-                    qrow[k] = nv
+            if qc != pc and pc in qrow:
+                _subtract_multiple(domain, qrow, qrow[pc], prow)
     ordered = sorted(pivots)
     return [pivots[c] for c in ordered], ordered
 
@@ -372,19 +287,8 @@ def reduce_by_rref(
     v = dict(vec)
     for pc, row in zip(pivot_cols, rref_rows):
         coef = v.get(pc)
-        if coef is None or domain.is_zero(coef):
-            continue
-        for k, rv in row.items():
-            cur = v.get(k)
-            nv = (
-                domain.sub(cur, domain.mul(coef, rv))
-                if cur is not None
-                else domain.neg(domain.mul(coef, rv))
-            )
-            if domain.is_zero(nv):
-                v.pop(k, None)
-            else:
-                v[k] = nv
+        if coef is not None and not domain.is_zero(coef):
+            _subtract_multiple(domain, v, coef, row)
     return v
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cherednik
+from cherednik import cli
 from cherednik.cli import _run_cell
 
 PKG = [sys.executable, "-m", "cherednik"]
@@ -288,6 +289,28 @@ def test_dump_kernel_export(tmp_path):
     assert d2["dim_l"] == 2
     assert all(isinstance(s, str) for s in d2["basis"])
 
+
+
+def test_dump_kernel_computes_the_kernel_once(tmp_path, monkeypatch, capsys):
+    real, calls = cli.compute_graded_kernel, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_graded_kernel", counted)
+
+    def hilbert(dump):
+        argv = ["hilbert", "--p", "2", "--n", "5", "--t", "0", "--dump-kernel", str(tmp_path / dump)]
+        assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+
+    # a cache miss dumps the kernel its record was read from
+    hilbert("miss.json")
+    assert len(calls) == 1
+    # a cache hit brings no kernel, so the dump computes one
+    hilbert("hit.json")
+    assert len(calls) == 2
+    assert (tmp_path / "miss.json").read_bytes() == (tmp_path / "hit.json").read_bytes()
 
 @pytest.mark.slow
 def test_selftest_passes(tmp_path):

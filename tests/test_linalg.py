@@ -1,10 +1,11 @@
-"""The certified modular route over F_p(c) and the table fields it runs on."""
+"""Elimination over F_p, the certified modular route over F_p(c) and the
+table fields it runs on."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherednik import linalg
-from cherednik.fields import CoeffDomain, point_field
+from cherednik.fields import CoeffDomain, PrimeField, point_field
 
 
 def field_fraction_route(dom, A):
@@ -17,7 +18,7 @@ def field_fraction_route(dom, A):
 
 
 def modular_route(dom, A):
-    adapter = linalg.adapter_for(dom)
+    adapter = linalg.RingAdapter(dom)
     rows, pivots = linalg.echelon(adapter, A)
     rref = linalg.rref_scalar_rows(adapter, rows, pivots)
     return (rref, pivots), linalg.kernel_from_rref(dom, rref, pivots, len(A[0]))
@@ -67,6 +68,56 @@ def test_route_matches_field_fraction_rref(case):
     assert modular_route(dom, A) == field_fraction_route(dom, A)
 
 
+@st.composite
+def field_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
+    return p, [draw(row) for _ in range(nrows)]
+
+
+def span(p, rows, ncols):
+    """Every F_p-combination of the rows, as tuples."""
+    out = {(0,) * ncols}
+    for row in rows:
+        out = {tuple((a + k * b) % p for a, b in zip(v, row)) for v in out for k in range(p)}
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_echelon_over_a_prime_field_against_enumeration(case):
+    p, A = case
+    dom, ncols = CoeffDomain.prime(p), len(A[0])
+    adapter = linalg.RingAdapter(dom)
+    rows, pivots = linalg.echelon(adapter, A)
+    assert span(p, rows, ncols) == span(p, A, ncols)
+    # canonical RREF: increasing pivots, pivot entry 1, zeros in the other pivot columns
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for r, (row, pc) in enumerate(zip(rows, pivots)):
+        assert not any(row[:pc]) and row[pc] == 1
+        assert all(other[pc] == 0 for other in rows[:r] + rows[r + 1 :])
+    kernel, _ = linalg.kernel_from_rref(dom, linalg.rref_scalar_rows(adapter, rows, pivots), pivots, ncols)
+    dense = [[v.get(c, 0) for c in range(ncols)] for v in kernel]
+    assert len(span(p, dense, ncols)) == p ** (ncols - len(pivots)) == p ** len(kernel)
+    for v in dense:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+
+
+class OffByOne(PrimeField):
+    """F_p whose sums are one too large, so that a - a is never zero."""
+
+    def add(self, a, b):
+        return (a + b + 1) % self.p
+
+    sub = CoeffDomain.sub  # subtraction goes through the broken sum too
+
+
+def test_sparse_rref_rejects_a_field_that_does_not_clear_the_pivot():
+    with pytest.raises(ArithmeticError):
+        linalg.sparse_rref(OffByOne(3), [{0: 1, 1: 2}, {0: 2, 1: 1}])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("bad", [0, 1])
 def test_bad_point_is_dropped(p, bad):
@@ -80,7 +131,7 @@ def test_bad_point_is_dropped(p, bad):
     assert len(linalg.sparse_rref(F, at_point(F, A))[1]) == 1
     # entries of degree k + 1 need two good points: the bad point is dropped
     # whether it comes first or between them, so three points are tried
-    assert linalg.echelon(linalg.adapter_for(dom), A)[1] == [0, 1]
+    assert linalg.echelon(linalg.RingAdapter(dom), A)[1] == [0, 1]
     assert dom.points_tried == 3
     assert modular_route(dom, A) == field_fraction_route(dom, A)
 
@@ -99,7 +150,7 @@ def test_entries_past_one_point_need_crt(p, coeffs):
     R = dom.ring
     A = [[R.from_coeffs(v) for v in row] for row in coeffs]
     A.append([R.mul(A[0][0], R.from_coeffs((0, 1))), R.one, A[0][1]])
-    adapter = linalg.adapter_for(dom)
+    adapter = linalg.RingAdapter(dom)
     linalg.echelon(adapter, A)
     assert dom.points_tried >= 2
     assert modular_route(dom, A) == field_fraction_route(dom, A)
