@@ -106,6 +106,14 @@ class RunCache:
         return RunRecord.from_json(hit) if hit else None
 
     def store(self, record: RunRecord) -> None:
+        """Append one line with a single write; a torn last line is closed first."""
         self.dir.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+        line = (json.dumps(record.to_json(), sort_keys=True) + "\n").encode("utf-8")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line
+            os.write(fd, line)
+        finally:
+            os.close(fd)

@@ -19,12 +19,14 @@ from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
 from .fields import CoeffDomain, UncertifiedFunctionField
-from .poly import ParseError, ReducedPoly, format_poly, parse_poly, random_homogeneous
+from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
 from .kernel import (
     BudgetExceeded,
+    _pairings,
     compute_graded_kernel,
     gram_oracle_kernel,
+    gram_rows,
     is_in_kernel,
     is_singular,
 )
@@ -433,7 +435,16 @@ def cmd_selftest(args) -> int:
                 break
         report(f"oracle equivalence p={p} t={t} n={n} d<={dmax}", ok)
 
-    from .kernel import is_singular as _is_sing
+    gram_bad = []
+    for p, t, n, c, d in [(2, 0, 4, 1, 4), (3, 1, 4, "generic", 3), (5, 1, 3, 0, 5), (2, 1, 3, "generic", 5)]:
+        ctx = DunklContext.make(n=n, p=p, t=t, c=c)
+        dom, rows, gram = ctx.domain, monomials_of_degree(n - 1, d), gram_rows(d, ctx)
+        adapter = linalg.RingAdapter(dom)
+        for k in rng.sample(range(len(rows)), 2):
+            tree = _pairings(ReducedPoly(dom, n - 1, {rows[k]: dom.one}), d, ctx)
+            if [adapter.scalar_div(g[k], adapter.one) for g in gram] != [tree.get(a, dom.zero) for a in rows]:
+                gram_bad.append(f"(p={p}, t={t}, n={n}, c={c}, m={rows[k]})")
+    report("gram recursion vs pairing tree (8 columns)", not gram_bad, "".join(gram_bad[:1]))
 
     cat = [
         ("quad_pair", {"i": 1, "j": 2}, DunklContext.make(n=5, p=2, t=0), "singular"),
@@ -445,7 +456,7 @@ def cmd_selftest(args) -> int:
     ]
     for family, params, ctx, mode in cat:
         f = singular_catalog(family, params, ctx)
-        ok = _is_sing(f, ctx) if mode == "singular" else is_in_kernel(f, ctx).member
+        ok = is_singular(f, ctx) if mode == "singular" else is_in_kernel(f, ctx).member
         report(f"catalog {family} ({mode})", ok)
 
     if failures:

@@ -8,7 +8,8 @@ image D^a q.  Degree by degree,
 
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
 matrices composed with the previous degree's quotient coordinates and reduce.
-A full Gram-matrix construction is kept as an independent oracle.
+An independent oracle builds the full Gram matrix by a degree recursion on
+its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it.
 
 Membership of a single polynomial is decided without any matrices by walking
 the tree of iterated Dunkl images, pruning zero branches, deduplicating
@@ -49,6 +50,29 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def dunkl_columns(d: int, i: int, ctx: DunklContext) -> list[dict[int, object]]:
+    """Matrix of D_{y_i - y_n} from degree d to d-1, column by column.
+
+    Column k is dunkl_z of the k-th degree-d monomial as {row: ring value}
+    in the degree-(d-1) basis; over F_p(c) every value is a polynomial in c.
+    """
+    dom = ctx.domain
+    nv = ctx.nvars
+    idx_prev = monomial_index(nv, d - 1)
+    ring_one = dom.ring.one if isinstance(dom, RationalFunctionField) else None
+    cols = []
+    for m in monomials_of_degree(nv, d):
+        col = {}
+        for mm, v in dunkl_z(ReducedPoly(dom, nv, {m: dom.one}), i, ctx).terms.items():
+            if ring_one is not None:
+                if v[1] != ring_one:
+                    raise AssertionError("Dunkl image must be polynomial in c")
+                v = v[0]
+            col[idx_prev[mm]] = v
+        cols.append(col)
+    return cols
+
+
 @dataclass
 class DegreeData:
     degree: int
@@ -85,29 +109,6 @@ class GradedKernel:
 
     # -- core computation -----------------------------------------------------
 
-    def _dunkl_columns(self, d: int, i: int) -> list[dict[int, object]]:
-        ctx = self.ctx
-        dom = ctx.domain
-        nv = ctx.nvars
-        monos = monomials_of_degree(nv, d)
-        idx_prev = monomial_index(nv, d - 1)
-        one = dom.one
-        generic = isinstance(dom, RationalFunctionField)
-        ring_one = dom.ring.one if generic else None
-        cols = []
-        for m in monos:
-            g = dunkl_z(ReducedPoly(dom, nv, {m: one}), i, ctx)
-            col = {}
-            for mm, v in g.terms.items():
-                if generic:
-                    if v[1] != ring_one:
-                        raise AssertionError("Dunkl image must be polynomial in c")
-                    col[idx_prev[mm]] = v[0]
-                else:
-                    col[idx_prev[mm]] = v
-            cols.append(col)
-        return cols
-
     def compute_degree(self, d: int) -> DegreeData:
         if d in self.degrees:
             return self.degrees[d]
@@ -129,15 +130,16 @@ class GradedKernel:
             return data
         stacked: list[list] = []
         for i in range(1, nv + 1):
-            cols_i = self._dunkl_columns(d, i)
+            cols_i = dunkl_columns(d, i, ctx)
             stacked.extend(
                 linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i)
             )
         ech_rows, ech_pivots = linalg.echelon(adapter, stacked)
         rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-        kernel_rows, kernel_pivots = linalg.kernel_from_rref(
-            dom, rref, ech_pivots, ncols
-        )
+        if ech_pivots:
+            kernel_rows, kernel_pivots = linalg.kernel_from_rref(dom, rref, ech_pivots, ncols)
+        else:  # every image already lies in ker B[d-1]
+            kernel_rows, kernel_pivots = linalg.identity_kernel(dom, ncols)
         dim_l = len(ech_pivots)
         if dim_l + len(kernel_rows) != ncols:
             raise AssertionError("rank accounting failed")
@@ -187,14 +189,6 @@ class GradedKernel:
         return ReducedPoly(
             self.ctx.domain, self.ctx.nvars, {monos[c]: v for c, v in red.items()}
         )
-
-    def contains(self, f: ReducedPoly) -> bool:
-        d = f.degree()
-        if d is None:
-            return True
-        if d not in self.degrees:
-            self.compute_degree(d)
-        return self.reduce_poly(f, d).is_zero()
 
     # -- consistency checks -------------------------------------------------------
 
@@ -323,6 +317,33 @@ def _pairings(f: ReducedPoly, d: int, ctx: DunklContext):
     return {a: g.constant_term() for a, g in level.items()}
 
 
+def gram_rows(d: int, ctx: DunklContext) -> list[list]:
+    """The Gram matrix G_d[a][m] = B(y^a, x^m) as dense rows of ring values.
+
+    Rows (y-multisets a) and columns (monomials m) both follow the order of
+    monomials_of_degree.  The operators commute, so with j the last nonzero
+    slot of a, G_e[a] = G_{e-1}[a - e_j] * D_j, D_j = dunkl_columns(e, j):
+    one compose per slot and degree from G_0 = [[1]], keeping every row and
+    eliminating nothing between degrees.
+    """
+    nv = ctx.nvars
+    adapter = linalg.RingAdapter(ctx.domain)
+    gram = [[adapter.one]]
+    for e in range(1, d + 1):
+        idx_prev = monomial_index(nv, e - 1)
+        by_slot: dict[int, list[tuple[int, ...]]] = {}
+        for a in monomials_of_degree(nv, e):
+            j = max(k for k in range(nv) if a[k])
+            by_slot.setdefault(j, []).append(a)
+        nxt = {}
+        for j, multisets in by_slot.items():
+            below = [gram[idx_prev[a[:j] + (a[j] - 1,) + a[j + 1:]]] for a in multisets]
+            cols = dunkl_columns(e, j + 1, ctx)
+            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols)))
+        gram = [nxt[a] for a in monomials_of_degree(nv, e)]
+    return gram
+
+
 def gram_oracle_kernel(
     d: int, ctx: DunklContext, max_pairings: int = 2_000_000
 ):
@@ -331,36 +352,18 @@ def gram_oracle_kernel(
     Returns (kernel rows, pivot columns) in the same canonical RREF form as
     the recursive engine, so results are directly comparable.
     """
-    dom = ctx.domain
-    nv = ctx.nvars
-    monos = monomials_of_degree(nv, d)
-    n_monos = len(monos)
     if d == 0:
         return [], []
+    n_monos = len(monomials_of_degree(ctx.nvars, d))
     if n_monos * n_monos > max_pairings:
         raise ResourceLimitError(
             f"Gram matrix would need {n_monos * n_monos} pairings; "
             "use the recursive kernel engine instead"
         )
-    adapter = linalg.RingAdapter(dom)
-    generic = isinstance(dom, RationalFunctionField)
-    ring_one = dom.ring.one if generic else None
-    rows_order = monomials_of_degree(nv, d)  # y-multisets, same ordering
-    matrix = [[adapter.zero] * n_monos for _ in rows_order]
-    row_idx = {a: r for r, a in enumerate(rows_order)}
-    for j, m in enumerate(monos):
-        for a, val in _pairings(ReducedPoly(dom, nv, {m: dom.one}), d, ctx).items():
-            if generic:
-                if val[1] != ring_one:
-                    raise AssertionError("pairing value must be polynomial in c")
-                raw = val[0]
-            else:
-                raw = val
-            if raw:
-                matrix[row_idx[a]][j] = raw
-    ech_rows, ech_pivots = linalg.echelon(adapter, matrix)
+    adapter = linalg.RingAdapter(ctx.domain)
+    ech_rows, ech_pivots = linalg.echelon(adapter, gram_rows(d, ctx))
     rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-    return linalg.kernel_from_rref(dom, rref, ech_pivots, n_monos)
+    return linalg.kernel_from_rref(ctx.domain, rref, ech_pivots, n_monos)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +423,7 @@ def _canonical(a: tuple[int, ...], classes: list[list[int]]) -> bool:
 
 
 def _canonical_children(a: tuple[int, ...], nv: int, classes):
-    last = 0
-    for j in range(nv, 0, -1):
-        if a[j - 1]:
-            last = j
-            break
-    for j in range(max(last, 1), nv + 1):
-        child = a[: j - 1] + (a[j - 1] + 1,) + a[j:]
+    for j, child in _multiset_children(a, nv):
         if _canonical(child, classes):
             yield j, child
 

@@ -25,10 +25,6 @@ class ParseError(ValueError):
     """Malformed polynomial text."""
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def grlex_key(m: Monomial):
     """Sort key putting monomials in graded-lex DESCENDING order when reversed."""
     return (sum(m), m)
@@ -84,14 +80,6 @@ class ReducedPoly:
         e = [0] * nvars
         e[i - 1] = 1
         return ReducedPoly(domain, nvars, {tuple(e): domain.one})
-
-    @staticmethod
-    def from_terms(domain, nvars, items) -> "ReducedPoly":
-        terms = {}
-        for m, v in items:
-            if not domain.is_zero(v):
-                terms[m] = v
-        return ReducedPoly(domain, nvars, terms)
 
     # -- basic structure -----------------------------------------------------
 
@@ -253,10 +241,6 @@ def c_components(f: ReducedPoly) -> list[ReducedPoly]:
 # ---------------------------------------------------------------------------
 
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-
-
-def format_scalar(domain: CoeffDomain, v) -> str:
-    return domain.fmt(v)
 
 
 def _fmt_term(domain, m: Monomial, v) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 import cherednik
 from cherednik import cli
+from cherednik.cache import RunCache, RunRecord
 from cherednik.cli import _run_cell
 
 PKG = [sys.executable, "-m", "cherednik"]
@@ -145,6 +146,16 @@ def test_cache_version_poisoning_ignored(tmp_path):
     proc = run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "1"], tmp_path)
     rec = record_of(proc)
     assert rec["series"]["coeffs"] == [1, 2, 3, 4, 4, 4, 3, 2, 1]
+
+
+def test_store_after_a_torn_line_is_found(tmp_path):
+    # an interrupted write left a partial record with no final newline
+    cache = RunCache(tmp_path)
+    cache.path.write_text('{"key": {"p": 2, "n": 3')
+    key = RunRecord.make_key(2, 5, 1, "generic")
+    cache.store(RunRecord(key=key, series={"coeffs": [1, 4, 4, 1]}))
+    assert cache.lookup(key).series == {"coeffs": [1, 4, 4, 1]}
+    assert cache.path.read_text().startswith('{"key": {"p": 2, "n": 3\n{')
 
 
 def test_fast_eval_agrees_with_exact(tmp_path):

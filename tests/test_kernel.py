@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cherednik import linalg
 from cherednik.fields import CoeffDomain, Scalar
-from cherednik.poly import ReducedPoly, parse_poly, random_homogeneous
+from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
 from cherednik.dunkl import DunklContext
 from cherednik.kernel import (
     GradedKernel,
+    _pairings,
     compute_graded_kernel,
     contravariant_pairing,
     gram_oracle_kernel,
+    gram_rows,
     is_in_kernel,
     is_singular,
     kernel_at_degree,
@@ -109,6 +113,29 @@ def test_oracle_equivalence_t1_n5():
         rows, pivots = gram_oracle_kernel(d, ctx)
         assert rows == data.kernel_rows
         assert pivots == data.kernel_pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(3, 5),
+    d=st.integers(1, 4),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+    seed=st.integers(0, 10**9),
+)
+def test_gram_recursion_matches_pairing_tree(p, t, n, d, c, seed):
+    # G_d[a][m] from the degree recursion against the tree of iterated images
+    rng = random.Random(seed)
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    dom, adapter = ctx.domain, linalg.RingAdapter(ctx.domain)
+    monos = monomials_of_degree(n - 1, d)
+    gram = gram_rows(d, ctx)
+    assert len(gram) == len(monos) and all(len(row) == len(monos) for row in gram)
+    for k in rng.sample(range(len(monos)), min(3, len(monos))):
+        tree = _pairings(ReducedPoly(dom, n - 1, {monos[k]: dom.one}), d, ctx)
+        for a, row in zip(monos, gram):
+            assert adapter.scalar_div(row[k], adapter.one) == tree.get(a, dom.zero), (a, monos[k])
 
 
 def test_gram_oracle_degree_zero_and_limit():
