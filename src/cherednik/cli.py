@@ -25,6 +25,8 @@ from .kernel import (
     BudgetExceeded,
     _pairings,
     compute_graded_kernel,
+    dunkl_columns,
+    dunkl_matrices,
     gram_oracle_kernel,
     gram_rows,
     is_in_kernel,
@@ -116,6 +118,7 @@ def _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds):
             )
     except BudgetExceeded as exc:
         record.status = "exceeded_cap"
+        record.dims = {str(d): list(v) for d, v in exc.partial_dims.items()}
         record.notes.append(str(exc))
         record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
         return record, None
@@ -434,6 +437,14 @@ def cmd_selftest(args) -> int:
                 ok = False
                 break
         report(f"oracle equivalence p={p} t={t} n={n} d<={dmax}", ok)
+
+    slot_bad = []
+    for p, t, n, c in [(2, 0, 5, 1), (3, 1, 4, "generic"), (5, 1, 4, 0), (2, 1, 6, "generic")]:
+        ctx = DunklContext.make(n=n, p=p, t=t, c=c)
+        for d in (1, 2, 3):
+            if list(dunkl_matrices(d, ctx)) != [dunkl_columns(d, i, ctx) for i in range(1, n)]:
+                slot_bad.append(f"(p={p}, t={t}, n={n}, c={c}, d={d})")
+    report("dunkl matrices by slot symmetry vs direct (12 degrees)", not slot_bad, "".join(slot_bad[:1]))
 
     gram_bad = []
     for p, t, n, c, d in [(2, 0, 4, 1, 4), (3, 1, 4, "generic", 3), (5, 1, 3, 0, 5), (2, 1, 3, "generic", 5)]:

@@ -8,8 +8,11 @@ image D^a q.  Degree by degree,
 
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
 matrices composed with the previous degree's quotient coordinates and reduce.
+Only D_{y_1 - y_n} is computed term by term: s = (1 i) fixes y_n, so
+D_{y_i - y_n} = s D_{y_1 - y_n} s, a re-indexing of its matrix.
 An independent oracle builds the full Gram matrix by a degree recursion on
-its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it.
+its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it;
+it builds every slot's D_j directly.
 
 Membership of a single polynomial is decided without any matrices by walking
 the tree of iterated Dunkl images, pruning zero branches, deduplicating
@@ -41,8 +44,9 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
-class BudgetExceeded(RuntimeError):
-    """Wall-clock budget for a kernel run was exhausted."""
+class BudgetExceeded(IncompleteKernelError):
+    """Wall-clock budget for a kernel run was exhausted; carries the dims of
+    the degrees finished before it."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,30 @@ def dunkl_columns(d: int, i: int, ctx: DunklContext) -> list[dict[int, object]]:
             col[idx_prev[mm]] = v
         cols.append(col)
     return cols
+
+
+def _slot_swap(nv: int, d: int, i: int) -> list[int]:
+    """Index permutation of the degree-d monomials swapping exponent slots 1 and i."""
+    idx = monomial_index(nv, d)
+    return [idx[(m[i - 1],) + m[1 : i - 1] + (m[0],) + m[i:]] for m in monomials_of_degree(nv, d)]
+
+
+def dunkl_matrices(d: int, ctx: DunklContext):
+    """Yield the dunkl_columns matrices of D_{y_i - y_n} for i = 1..n-1.
+
+    Only D_1 runs dunkl_z.  The transposition s = (1 i) fixes y_n, so
+    D_{y_i - y_n} = s D_{y_1 - y_n} s, and s acts on reduced monomials by
+    swapping exponent slots 1 and i: D_i(x^m) = s D_1(x^{s m}).  The ring
+    values of D_1 are moved to their new indices, never recomputed.
+    """
+    first = dunkl_columns(d, 1, ctx)
+    yield first
+    nv = ctx.nvars
+    for i in range(2, nv + 1):
+        swap_prev = _slot_swap(nv, d - 1, i)
+        yield [
+            {swap_prev[r]: v for r, v in first[k].items()} for k in _slot_swap(nv, d, i)
+        ]
 
 
 @dataclass
@@ -129,8 +157,7 @@ class GradedKernel:
             self.degrees[d] = data
             return data
         stacked: list[list] = []
-        for i in range(1, nv + 1):
-            cols_i = dunkl_columns(d, i, ctx)
+        for cols_i in dunkl_matrices(d, ctx):
             stacked.extend(
                 linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i)
             )
@@ -255,7 +282,9 @@ def compute_graded_kernel(
     d = 1
     while d <= cap:
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            raise BudgetExceeded(f"kernel run exceeded {budget_seconds}s at degree {d}")
+            raise BudgetExceeded(
+                f"kernel run exceeded {budget_seconds}s at degree {d}", gk.dims()
+            )
         data = gk.compute_degree(d)
         if data.dim_l == 0:
             gk.first_zero_degree = d

@@ -15,7 +15,9 @@ same routine, rebuilt by CRT and rational reconstruction and certified
 exactly by a degree bound (``_modular_rref`` gives the proof).
 Characteristic-2 rows are packed into single big integers (entries are
 F_2[c] bitmasks laid side by side) so that the inner product against a
-sparse column is a handful of shifts and XORs.
+sparse column is a handful of shifts and XORs.  At odd p an entry becomes an
+int by c -> 2^digit (Kronecker substitution) and rows are packed the same
+way, with additions in place of XORs.
 """
 
 from __future__ import annotations
@@ -142,29 +144,52 @@ def compose_rows_columns(
     if isinstance(dom, PrimeField):
         # additive packing: entries < p, accumulated sums stay below 2^width
         width = 48
-        packed = _gf2_pack_columns(R_rows, width)  # reuse: plain placement
+        out_cols = _packed_products(R_rows, dunkl_columns, width)
         mask = (1 << width) - 1
-        out_cols = []
-        for col in dunkl_columns:
-            acc = 0
-            for k, v in col.items():
-                acc += packed[k] * v
-            out_cols.append(acc)
-        rows = []
-        for r in range(L):
-            sh = r * width
-            rows.append([((acc >> sh) & mask) % p for acc in out_cols])
-        return rows
-    # F_p(c) at odd p: F_p[c] arithmetic entry by entry
-    R = adapter.ring
-    rows = [[R.zero] * ncols for _ in range(L)]
-    for j, col in enumerate(dunkl_columns):
+        return [[((acc >> r * width) & mask) % p for acc in out_cols] for r in range(L)]
+    # F_p(c) at odd p: Kronecker substitution c -> 2^digit turns each F_p[c]
+    # entry into an int whose base-2^digit digits are its coefficients; digit
+    # is wide enough that no coefficient of a product sum carries over
+    R_len = max((len(v) for row in R_rows for v in row), default=0)
+    D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
+    if not R_len or not D_len:
+        return [[()] * ncols for _ in range(L)]
+    terms = max(len(col) for col in dunkl_columns)
+    digit = ((p - 1) ** 2 * min(R_len, D_len) * terms).bit_length()
+    width = (R_len + D_len - 1) * digit
+
+    def kron(v):
+        return sum(a << i * digit for i, a in enumerate(v))
+
+    out_cols = _packed_products(
+        [[kron(v) for v in row] for row in R_rows],
+        [{k: kron(v) for k, v in col.items()} for col in dunkl_columns],
+        width,
+    )
+    mask, digit_mask = (1 << width) - 1, (1 << digit) - 1
+    memo: dict[int, tuple] = {}
+
+    def unkron(x):
+        if x not in memo:
+            coeffs = [(x >> s & digit_mask) % p for s in range(0, width, digit)]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            memo[x] = tuple(coeffs)
+        return memo[x]
+
+    return [[unkron((acc >> r * width) & mask) for acc in out_cols] for r in range(L)]
+
+
+def _packed_products(R_rows: list[list[int]], dunkl_columns, width: int) -> list[int]:
+    """Column j of R * D with row r of R at bit offset r * width, as one int."""
+    packed = _gf2_pack_columns(R_rows, width)  # plain placement of int entries
+    out_cols = []
+    for col in dunkl_columns:
+        acc = 0
         for k, v in col.items():
-            for r in range(L):
-                rv = R_rows[r][k]
-                if rv:
-                    rows[r][j] = R.add(rows[r][j], R.mul(rv, v))
-    return rows
+            acc += packed[k] * v
+        out_cols.append(acc)
+    return out_cols
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 import csv
 import hashlib
 import json
+import itertools
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cherednik
-from cherednik import cli
+from cherednik import cli, kernel
 from cherednik.cache import RunCache, RunRecord
 from cherednik.cli import _run_cell
+from cherednik.dunkl import DunklContext
 
 PKG = [sys.executable, "-m", "cherednik"]
 # the directory holding the package this test process imported, so the CLI
@@ -156,6 +160,46 @@ def test_store_after_a_torn_line_is_found(tmp_path):
     cache.store(RunRecord(key=key, series={"coeffs": [1, 4, 4, 1]}))
     assert cache.lookup(key).series == {"coeffs": [1, 4, 4, 1]}
     assert cache.path.read_text().startswith('{"key": {"p": 2, "n": 3\n{')
+
+
+def test_lookup_parses_only_the_lines_appended_since_the_last(tmp_path, monkeypatch):
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **kw: parsed.append(s) or loads(s, *a, **kw))
+    cache = RunCache(tmp_path)
+    keys = [RunRecord.make_key(2, n, 1, "generic") for n in (3, 5, 7)]
+    assert cache.lookup(keys[0]) is None
+    cache.store(RunRecord(key=keys[0], series={"coeffs": [1]}))
+    cache.store(RunRecord(key=keys[1], series={"coeffs": [1, 2]}))
+    assert cache.lookup(keys[0]).series == {"coeffs": [1]}
+    assert len(parsed) == 2
+    # lines from another writer; the last line with a key wins
+    RunCache(tmp_path).store(RunRecord(key=keys[1], series={"coeffs": [1, 3]}))
+    cache.store(RunRecord(key=keys[2], series={"coeffs": [1, 4]}))
+    assert cache.lookup(keys[1]).series == {"coeffs": [1, 3]}
+    assert cache.lookup(keys[2]).series == {"coeffs": [1, 4]}
+    assert len(parsed) == 4
+    # a file that shrank is indexed afresh
+    cache.path.write_text(json.dumps({"key": keys[0], "series": {"coeffs": [9]}}) + "\n")
+    assert cache.lookup(keys[0]).series == {"coeffs": [9]}
+    assert cache.lookup(keys[1]) is None
+    assert len(parsed) == 5
+
+
+def test_budget_stop_records_the_finished_degrees(monkeypatch):
+    # a kernel clock that moves one second per reading: a 2.5 s budget runs
+    # out at the check before degree 3, once degrees 1 and 2 are finished
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        kernel, "time", SimpleNamespace(monotonic=lambda: next(ticks), perf_counter=time.perf_counter)
+    )
+    rec = _run_cell(2, 5, 1, "generic", None, False, budget_seconds=2.5)
+    assert rec.status == "exceeded_cap"
+    assert "at degree 3" in rec.notes[-1]
+    gk = kernel.GradedKernel(DunklContext.make(n=5, p=2, t=1))
+    gk.compute_degree(2)
+    assert rec.dims == {str(d): list(v) for d, v in gk.dims().items()}
+    assert sorted(rec.dims) == ["0", "1", "2"]
 
 
 def test_fast_eval_agrees_with_exact(tmp_path):

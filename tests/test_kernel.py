@@ -12,6 +12,8 @@ from cherednik.kernel import (
     _pairings,
     compute_graded_kernel,
     contravariant_pairing,
+    dunkl_columns,
+    dunkl_matrices,
     gram_oracle_kernel,
     gram_rows,
     is_in_kernel,
@@ -136,6 +138,20 @@ def test_gram_recursion_matches_pairing_tree(p, t, n, d, c, seed):
         tree = _pairings(ReducedPoly(dom, n - 1, {monos[k]: dom.one}), d, ctx)
         for a, row in zip(monos, gram):
             assert adapter.scalar_div(row[k], adapter.one) == tree.get(a, dom.zero), (a, monos[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(3, 6),
+    d=st.integers(1, 4),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+)
+def test_dunkl_matrices_follow_the_slot_symmetry(p, t, n, d, c):
+    # D_i re-indexed from D_1 by s = (1 i) against dunkl_z run on every slot
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    assert list(dunkl_matrices(d, ctx)) == [dunkl_columns(d, i, ctx) for i in range(1, n)]
 
 
 def test_gram_oracle_degree_zero_and_limit():

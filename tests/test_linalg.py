@@ -252,3 +252,51 @@ def test_table_field_matches_polynomial_arithmetic(p, xs, ys, j):
     else:
         with pytest.raises(ZeroDivisionError):
             F.inv(ea)
+
+
+def entrywise_product(p, rows, cols):
+    """R * D over F_p[c] one coefficient convolution at a time, as GFPX tuples."""
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            acc = [0] * 16
+            for k, v in col.items():
+                for i, a in enumerate(row[k]):
+                    for j, b in enumerate(v):
+                        acc[i + j] += a * b
+            coeffs = [x % p for x in acc]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            out_row.append(tuple(coeffs))
+        out.append(out_row)
+    return out
+
+
+@st.composite
+def odd_poly_products(draw):
+    p = draw(st.sampled_from([3, 5]))
+    R = CoeffDomain.generic(p).ring
+    nrows, inner, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    poly = st.lists(st.integers(0, p - 1), max_size=5).map(R.from_coeffs)
+    rows = draw(st.lists(st.lists(poly, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, inner - 1), poly), min_size=ncols, max_size=ncols))
+    return p, rows, [{k: v for k, v in col.items() if v} for col in cols]
+
+
+@settings(max_examples=80, deadline=None)
+@given(odd_poly_products())
+def test_packed_compose_matches_entrywise_product(case):
+    p, rows, cols = case
+    adapter = linalg.RingAdapter(CoeffDomain.generic(p))
+    assert linalg.compose_rows_columns(adapter, rows, cols) == entrywise_product(p, rows, cols)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_packed_compose_has_room_for_the_largest_sums(p):
+    # every coefficient p - 1 and every column full: the largest digit sums
+    top = (p - 1,) * 6
+    rows = [[top] * 40 for _ in range(3)]
+    cols = [{k: top for k in range(40)} for _ in range(2)]
+    adapter = linalg.RingAdapter(CoeffDomain.generic(p))
+    assert linalg.compose_rows_columns(adapter, rows, cols) == entrywise_product(p, rows, cols)
