@@ -1,7 +1,7 @@
 import csv
 import hashlib
-import json
 import itertools
+import json
 import subprocess
 import sys
 import time
