@@ -9,7 +9,6 @@ in a separate "timing" field that comparisons are expected to strip.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -82,45 +81,29 @@ class RunRecord:
         )
 
 
-def _index_key(key) -> str:
-    return json.dumps(key, sort_keys=True)
-
-
 class RunCache:
     """JSON-lines store; writes are append-only through this single object."""
 
     def __init__(self, directory: Path | str | None = None):
         self.dir = cache_dir(None if directory is None else str(directory))
         self.path = self.dir / "runs.jsonl"
-        # key -> last record with that key, over the complete lines before offset
-        self._index: dict[str, dict] = {}
-        self._offset = 0
 
     def lookup(self, key: dict) -> RunRecord | None:
-        """The last record stored under key; parses only lines new since the last call."""
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            size = 0
-        if size < self._offset:  # the file was replaced: index it afresh
-            self._index, self._offset = {}, 0
-        if size > self._offset:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read(size - self._offset)
-            complete = chunk.rfind(b"\n") + 1  # a torn last line waits for its newline
-            for line in chunk[:complete].splitlines():
-                if not line.strip():
+        if not self.path.exists():
+            return None
+        hit = None
+        with open(self.path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
                     continue
                 try:
                     d = json.loads(line)
-                except ValueError:
+                except json.JSONDecodeError:
                     continue  # tolerate a torn write; never trust it
-                if isinstance(d, dict):
-                    self._index[_index_key(d.get("key"))] = d
-            self._offset += complete
-        hit = self._index.get(_index_key(key))
-        return RunRecord.from_json(copy.deepcopy(hit)) if hit else None
+                if d.get("key") == key:
+                    hit = d
+        return RunRecord.from_json(hit) if hit else None
 
     def store(self, record: RunRecord) -> None:
         """Append one line with a single write; a torn last line is closed first."""

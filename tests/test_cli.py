@@ -162,30 +162,6 @@ def test_store_after_a_torn_line_is_found(tmp_path):
     assert cache.path.read_text().startswith('{"key": {"p": 2, "n": 3\n{')
 
 
-def test_lookup_parses_only_the_lines_appended_since_the_last(tmp_path, monkeypatch):
-    parsed = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s, *a, **kw: parsed.append(s) or loads(s, *a, **kw))
-    cache = RunCache(tmp_path)
-    keys = [RunRecord.make_key(2, n, 1, "generic") for n in (3, 5, 7)]
-    assert cache.lookup(keys[0]) is None
-    cache.store(RunRecord(key=keys[0], series={"coeffs": [1]}))
-    cache.store(RunRecord(key=keys[1], series={"coeffs": [1, 2]}))
-    assert cache.lookup(keys[0]).series == {"coeffs": [1]}
-    assert len(parsed) == 2
-    # lines from another writer; the last line with a key wins
-    RunCache(tmp_path).store(RunRecord(key=keys[1], series={"coeffs": [1, 3]}))
-    cache.store(RunRecord(key=keys[2], series={"coeffs": [1, 4]}))
-    assert cache.lookup(keys[1]).series == {"coeffs": [1, 3]}
-    assert cache.lookup(keys[2]).series == {"coeffs": [1, 4]}
-    assert len(parsed) == 4
-    # a file that shrank is indexed afresh
-    cache.path.write_text(json.dumps({"key": keys[0], "series": {"coeffs": [9]}}) + "\n")
-    assert cache.lookup(keys[0]).series == {"coeffs": [9]}
-    assert cache.lookup(keys[1]) is None
-    assert len(parsed) == 5
-
-
 def test_budget_stop_records_the_finished_degrees(monkeypatch):
     # a kernel clock that moves one second per reading: a 2.5 s budget runs
     # out at the check before degree 3, once degrees 1 and 2 are finished
