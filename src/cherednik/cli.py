@@ -25,6 +25,7 @@ from .kernel import (
     BudgetExceeded,
     _pairings,
     compute_graded_kernel,
+    contravariant_pairing,
     dunkl_columns,
     dunkl_matrices,
     gram_oracle_kernel,
@@ -456,6 +457,26 @@ def cmd_selftest(args) -> int:
             if [adapter.scalar_div(g[k], adapter.one) for g in gram] != [tree.get(a, dom.zero) for a in rows]:
                 gram_bad.append(f"(p={p}, t={t}, n={n}, c={c}, m={rows[k]})")
     report("gram recursion vs pairing tree (8 columns)", not gram_bad, "".join(gram_bad[:1]))
+
+    ctx = DunklContext.make(n=7, p=2, t=1)
+    cut_bad = []
+    cut_cases = [
+        ("x1^6", True), ("x1^4*x2^4", True), ("x1^5*x2", False), ("(1/(c+1))*x1^5*x2+x1^3*x2^3", False)
+    ]
+    for text, want in cut_cases:
+        f = parse_poly(text, 6, ctx.domain)
+        direct = is_in_kernel(f, ctx, method="direct")
+        try:
+            cut = is_in_kernel(f, ctx, method="cutoff")
+            ok = cut.member == direct.member == want and (
+                want or not contravariant_pairing(cut.witness, f, ctx).is_zero()
+            )
+            detail = f"cutoff {cut.member}, direct {direct.member}"
+        except Exception as exc:  # a broken route may also fail its own assertions
+            ok, detail = False, f"cutoff raised {exc!r}"
+        if not ok:
+            cut_bad.append(f"({text}: {detail})")
+    report("membership cutoff vs direct (4 polynomials, n=7)", not cut_bad, "".join(cut_bad[:1]))
 
     cat = [
         ("quad_pair", {"i": 1, "j": 2}, DunklContext.make(n=5, p=2, t=0), "singular"),

@@ -3,11 +3,13 @@
 D_{y_i} = t * d/dx_i - c * sum_{k != i} (x_i - x_k)^{-1} (1 - s_{ik})
 
 Downstream code uses the operator basis {D_{y_i - y_n} : i = 1..n-1}.  One
-term-level core applies D_{y_i - y_n} to unreduced n-slot term dicts with raw
+term-level core applies D_{y_i - y_n} to unreduced n-slot terms with raw
 ring coefficients (ints for F_p, numerators for F_p(c)) and the context's
-own c.  ``dunkl_z`` lifts a reduced representative to n slots, runs the core
-and reduces slot n through x_n = -(x_1 + ... + x_{n-1}); membership trees
-stay upstairs and reduce only their leaves.  ``dunkl`` applies the single
+own c.  Each monomial is one int key holding its n exponents in fixed-width
+slots (``Packed``), so a shift of exponents is an int addition.  ``dunkl_z``
+lifts a reduced representative to n slots, runs the core and reduces slot n
+through x_n = -(x_1 + ... + x_{n-1}); membership trees stay upstairs and
+reduce only their leaves.  ``dunkl`` applies the single
 operator D_{y_i} through divided differences and is kept as the independent
 oracle for the core.
 """
@@ -70,7 +72,7 @@ class DunklContext:
 
 
 # ---------------------------------------------------------------------------
-# The Dunkl core on raw term dicts {exponent tuple: raw ring value}
+# The Dunkl core on packed raw terms {packed exponent key: raw ring value}
 # ---------------------------------------------------------------------------
 
 
@@ -100,13 +102,15 @@ def _ring(dom: CoeffDomain) -> _Ring:
             return v % p
 
         return _Ring(p, operator.add, operator.neg, operator.mul, mod_p, mod_p, 0, dom.c_value)
-    # F_p(c) works on numerators in F_p[c]
+    # F_p(c) works on numerators in F_p[c]; F_2[c] packs them into ints, so
+    # XOR adds and negation is the identity
     ring = dom.ring
+    add, neg = (operator.xor, operator.pos) if dom.p == 2 else (ring.add, ring.neg)
 
     def of_int(k):
         return ring.from_coeffs((k,))
 
-    return _Ring(dom.p, ring.add, ring.neg, ring.mul, of_int, None, ring.zero, dom.c_scalar()[0])
+    return _Ring(dom.p, add, neg, ring.mul, of_int, None, ring.zero, dom.c_scalar()[0])
 
 
 def _settle(out: dict, norm) -> dict:
@@ -116,112 +120,205 @@ def _settle(out: dict, norm) -> dict:
     return {m: w for m, v in out.items() if (w := norm(v))}
 
 
-def _dunkl_core(terms: dict, i: int, n: int, t: int, c, ring: _Ring) -> dict:
-    """D_{y_i - y_n} on raw n-slot terms, without reducing slot n.
+class Packed(NamedTuple):
+    """Raw n-slot terms in groups (denominator, {key: raw ring value}).
+
+    A key packs the exponents m_1..m_n into one int, nb bytes per slot:
+    slot k sits at bits 8 nb (k-1) and up.  ``lift_raw`` picks nb for the
+    degree of its input, and no operator raises the degree, so no exponent
+    overflows its slot.  D is F_p(c)-linear, so each denominator group of an
+    F_p(c) polynomial runs through the core on its numerators alone; the
+    other domains form one group with denominator None.
+    """
+
+    nb: int
+    groups: list[tuple[object, dict[int, object]]]
+
+
+def pack_monomial(m: Monomial, nb: int) -> int:
+    """The packed key of an exponent tuple, nb bytes per slot."""
+    if nb == 1:
+        return int.from_bytes(bytes(m), "little")
+    return int.from_bytes(b"".join(e.to_bytes(nb, "little") for e in m), "little")
+
+
+def unpack_monomial(key: int, slots: int, nb: int) -> Monomial:
+    """The exponents of the first ``slots`` slots of a packed key."""
+    raw = key.to_bytes(slots * nb, "little")
+    if nb == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[j : j + nb], "little") for j in range(0, len(raw), nb))
+
+
+@lru_cache(maxsize=None)
+def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int):
+    """The per-operator constants of ``_dunkl_core``, built once."""
+    add, neg, mul, of_int = ring.add, ring.neg, ring.mul, ring.of_int
+    norm = ring.norm or (lambda w: w)
+    # the ring values t x - c z at m - e_i and c z - t x at m - e_n, for the
+    # exponent x of slot i (or n) and the number z of empty spare slots, mod p
+    rows = [[add(of_int(t * x), neg(mul(of_int(z), c))) for z in range(ring.p)] for x in range(ring.p)]
+    at_i = tuple(tuple(norm(w) for w in row) for row in rows)
+    at_n = tuple(tuple(norm(neg(w)) for w in row) for row in rows)
+    unit = [1 << (8 * nb * k) for k in range(n)]
+    ui, un = unit[i - 1], unit[n - 1]
+    # (slot k, its unit, step of delta_{ik}, step of delta_{kn}), 0-based slots
+    spare = tuple((k, unit[k], ui - unit[k], unit[k] - un) for k in range(n - 1) if k != i - 1)
+    return of_int(2), at_i, at_n, ui, un, spare, ui - un
+
+
+def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring) -> Packed:
+    """D_{y_i - y_n} on packed raw n-slot terms, without reducing slot n.
 
         D_{y_i-y_n} = t (d_i - d_n)
                       - c [2 delta_{in} + sum_{k != i,n} (delta_{ik} + delta_{kn})]
 
     where delta_{uw} = (1 - s_{uw}) / (x_u - x_w) sends x_u^a x_w^b to the
     two-slot geometric sum sign(a - b) * sum_{min <= s < max} x_u^s x_w^{a+b-1-s}.
-    Reducing slot n afterwards is sound in every characteristic:
-    [y_i - y_n, x_1 + ... + x_n] = 0, so the operator preserves that ideal.
+    On packed keys that sum is an arithmetic progression of keys with step
+    2^(8 nb u) - 2^(8 nb w).  For each slot k with m_k = 0, delta_{ik} has
+    one term at m - e_i and delta_{kn} one at m - e_n; those are summed with
+    t (d_i - d_n) into one update each.  When m_k exceeds m_i and m_n, the
+    two sums of slot k have terms at m - e_k of opposite signs, and neither
+    is written.  Empty groups are dropped.  Reducing slot n afterwards is
+    sound in every characteristic: [y_i - y_n, x_1 + ... + x_n] = 0, so the
+    operator preserves that ideal.
     """
-    p, add, neg, mul, of_int, zero = ring.p, ring.add, ring.neg, ring.mul, ring.of_int, ring.zero
-    two = of_int(2)
-    # (u, w, doubled) for every delta_{uw} above, 0-based slots
-    deltas = [
-        (u, w, False)
-        for k in range(n - 1)
-        if k != i - 1
-        for u, w in ((i - 1, k), (k, n - 1))
-    ]
-    if two:
-        deltas.append((i - 1, n - 1, True))
-    out: dict[Monomial, object] = {}
-    for m, v in terms.items():
-        if t:
-            for slot, sv in ((i - 1, v), (n - 1, neg(v))):
-                e = m[slot] % p
-                if e:
-                    mm = list(m)
-                    mm[slot] -= 1
-                    key = tuple(mm)
-                    out[key] = add(out.get(key, zero), sv if e == 1 else mul(sv, of_int(e)))
-        if not c:
-            continue
-        cv = neg(mul(v, c))
-        cv2 = mul(cv, two)
-        for u, w, doubled in deltas:
-            a, b = m[u], m[w]
-            if a == b:
-                continue
-            sv = cv2 if doubled else cv
-            if a > b:
-                lo, hi = b, a
-            else:
-                lo, hi, sv = a, b, neg(sv)
-            tot = a + b - 1
-            mm = list(m)
-            for s in range(lo, hi):
-                mm[u] = s
-                mm[w] = tot - s
-                key = tuple(mm)
-                out[key] = add(out.get(key, zero), sv)
-    return _settle(out, ring.norm)
+    p, add, neg, mul, zero, nb = ring.p, ring.add, ring.neg, ring.mul, ring.zero, f.nb
+    two, at_i, at_n, ui, un, spare, step_in = _core_layout(i, n, t, c, ring, nb)
+    groups = []
+    for den, terms in f.groups:
+        out: dict[int, object] = {}
+        get = out.get
+        for key, v in terms.items():
+            m = key.to_bytes(n, "little") if nb == 1 else unpack_monomial(key, n, nb)
+            a, b = m[i - 1], m[-1]
+            zeros = 0
+            if c:
+                zeros = m.count(0) - (not a) - (not b)
+                cv = neg(mul(v, c))
+                ncv = neg(cv)
+                rest = a > 1 or b > 1
+                for k, uk, step_ik, step_kn in spare:
+                    e = m[k]
+                    if not e:
+                        if not rest:
+                            continue
+                        # delta_{ik} but its term at m - e_i: x_i^s x_k^(a-1-s), s < a - 1
+                        start = key - a * ui + (a - 1) * uk
+                        for _ in range(a - 1):
+                            out[start] = add(get(start, zero), cv)
+                            start += step_ik
+                        # delta_{kn} but its term at m - e_n: -x_k^s x_n^(b-1-s), 0 < s < b
+                        start = key + uk - 2 * un
+                        for _ in range(b - 1):
+                            out[start] = add(get(start, zero), ncv)
+                            start += step_kn
+                        continue
+                    # for e > a, b the cancelling terms at m - e_k are skipped:
+                    # the first of delta_{ik} and the last of delta_{kn}
+                    if a != e:  # delta_{ik} on x_i^a x_k^e
+                        if a > e:
+                            sv, start, stop = cv, key + (e - a) * ui + (a - 1 - e) * uk, a - e
+                        else:
+                            sv, start, stop = ncv, key - uk, e - a
+                            if e > b:
+                                start, stop = start + step_ik, stop - 1
+                        for _ in range(stop):
+                            out[start] = add(get(start, zero), sv)
+                            start += step_ik
+                    if e != b:  # delta_{kn} on x_k^e x_n^b
+                        if e > b:
+                            sv, start, stop = cv, key + (b - e) * uk + (e - 1 - b) * un, e - b - (e > a)
+                        else:
+                            sv, start, stop = ncv, key - un, b - e
+                        for _ in range(stop):
+                            out[start] = add(get(start, zero), sv)
+                            start += step_kn
+                if two and a != b:  # 2 delta_{in} on x_i^a x_n^b
+                    if a > b:
+                        sv, start, stop = mul(cv, two), key + (b - a) * ui + (a - 1 - b) * un, a - b
+                    else:
+                        sv, start, stop = mul(ncv, two), key - un, b - a
+                    for _ in range(stop):
+                        out[start] = add(get(start, zero), sv)
+                        start += step_in
+            # t (d_i - d_n) plus the empty slots' terms at m - e_i and m - e_n
+            if a and (w := at_i[a % p][zeros % p]):
+                kk = key - ui
+                out[kk] = add(get(kk, zero), mul(v, w))
+            if b and (w := at_n[b % p][zeros % p]):
+                kk = key - un
+                out[kk] = add(get(kk, zero), mul(v, w))
+        if out := _settle(out, ring.norm):
+            groups.append((den, out))
+    return Packed(nb, groups)
 
 
-def lift_raw(f: ReducedPoly) -> list[tuple[object, dict]]:
-    """f lifted to n slots as raw terms, in groups (denominator, terms).
-
-    D is F_p(c)-linear, so each denominator group of an F_p(c) polynomial
-    runs through the core on its numerators alone; the other domains form
-    one group with denominator None.
-    """
+def lift_raw(f: ReducedPoly) -> Packed:
+    """f lifted to n slots as packed raw terms, slot n empty."""
+    deg = max(map(sum, f.terms), default=0)
+    nb = max(1, (deg.bit_length() + 7) // 8)
     if not isinstance(f.domain, RationalFunctionField):
-        return [(None, {m + (0,): v for m, v in f.terms.items()})]
+        return Packed(nb, [(None, {pack_monomial(m, nb): v for m, v in f.terms.items()})])
     groups: dict[object, dict] = {}
     for m, (num, den) in f.terms.items():
-        groups.setdefault(den, {})[m + (0,)] = num
-    return list(groups.items())
+        groups.setdefault(den, {})[pack_monomial(m, nb)] = num
+    return Packed(nb, list(groups.items()))
 
 
-def dunkl_z_raw(terms: dict, i: int, ctx: DunklContext) -> dict:
-    """D_{y_i - y_n} with the context's t and c on raw n-slot terms."""
+def dunkl_z_raw(f: Packed, i: int, ctx: DunklContext) -> Packed:
+    """D_{y_i - y_n} with the context's t and c on packed raw n-slot terms."""
     ring = _ring(ctx.domain)
-    return _dunkl_core(terms, i, ctx.n, ctx.t, ring.c, ring)
+    return _dunkl_core(f, i, ctx.n, ctx.t, ring.c, ring)
 
 
-def reduce_raw(groups: list[tuple[object, dict]], ctx: DunklContext) -> ReducedPoly:
-    """Sum of raw n-slot groups, slot n reduced, as one reduced polynomial."""
-    dom = ctx.domain
+@lru_cache(maxsize=None)
+def _packed_neg_sum_power(nvars: int, e: int, p: int, nb: int) -> tuple[tuple[int, int], ...]:
+    """(-(x_1+...+x_nvars))^e mod p on packed keys: x_n^e reduced."""
+    return tuple((pack_monomial(m, nb), k) for m, k in _neg_sum_power_mod(nvars, e, p))
+
+
+def reduce_raw(f: Packed, ctx: DunklContext) -> ReducedPoly:
+    """Sum of the packed groups, slot n reduced, as one reduced polynomial."""
+    dom, nv, nb = ctx.domain, ctx.nvars, f.nb
     ring = _ring(dom)
     add, mul, of_int, zero = ring.add, ring.mul, ring.of_int, ring.zero
+    width = 8 * nb * nv
+    low = (1 << width) - 1
     total = None
-    for den, terms in groups:
-        out: dict[Monomial, object] = {}
-        for m, v in terms.items():
-            rest, u = m[:-1], m[-1]
+    for den, terms in f.groups:
+        out: dict[int, object] = {}
+        get = out.get
+        for key, v in terms.items():
+            u, rest = key >> width, key & low
             if not u:
-                out[rest] = add(out.get(rest, zero), v)
+                out[rest] = add(get(rest, zero), v)
                 continue
-            for xm, k in _neg_sum_power_mod(ctx.nvars, u, dom.p):
-                key = tuple(map(operator.add, rest, xm))
-                out[key] = add(out.get(key, zero), v if k == 1 else mul(v, of_int(k)))
+            for xm, k in _packed_neg_sum_power(nv, u, dom.p, nb):
+                kk = rest + xm
+                out[kk] = add(get(kk, zero), v if k == 1 else mul(v, of_int(k)))
         out = _settle(out, ring.norm)
-        if den is not None:
-            tag = (lambda v: (v, den)) if den == dom.ring.one else (lambda v: dom.make(v, den))
-            out = {m: tag(v) for m, v in out.items()}
-        part = ReducedPoly(dom, ctx.nvars, out)
+        if nb == 1:
+            keys = [tuple(k.to_bytes(nv, "little")) for k in out]
+        else:
+            keys = [unpack_monomial(k, nv, nb) for k in out]
+        if den is None:
+            vals = out.values()
+        elif den == dom.ring.one:
+            vals = [(v, den) for v in out.values()]
+        else:
+            vals = [dom.make(v, den) for v in out.values()]
+        part = ReducedPoly(dom, nv, dict(zip(keys, vals)))
         total = part if total is None else total.add(part)
-    return total if total is not None else ReducedPoly.zero(dom, ctx.nvars)
+    return total if total is not None else ReducedPoly.zero(dom, nv)
 
 
 def dunkl_z(f: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
     """The workhorse operator D_{y_i - y_n}, i in 1..n-1."""
     if not 1 <= i <= ctx.nvars:
         raise ValueError(f"operator index {i} out of 1..{ctx.nvars}")
-    return reduce_raw([(den, dunkl_z_raw(terms, i, ctx)) for den, terms in lift_raw(f)], ctx)
+    return reduce_raw(dunkl_z_raw(lift_raw(f), i, ctx), ctx)
 
 
 def dunkl(f: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
@@ -278,14 +375,12 @@ def dunkl_parts(f: ReducedPoly, i: int, j: int, ctx: DunklContext):
     if ctx.t != 1:
         raise ValueError("the alpha/beta decomposition requires a t=1 context")
     ring = _ring(ctx.domain)
-    groups = lift_raw(f)
+    lifted = lift_raw(f)
 
     def part(k, t, c):
         if k == ctx.n:  # D_{y_n - y_n} = 0
             return ReducedPoly.zero(ctx.domain, ctx.nvars)
-        return reduce_raw(
-            [(den, _dunkl_core(terms, k, ctx.n, t, c, ring)) for den, terms in groups], ctx
-        )
+        return reduce_raw(_dunkl_core(lifted, k, ctx.n, t, c, ring), ctx)
 
     one = ring.of_int(1)
     alpha = part(i, 1, ring.zero).sub(part(j, 1, ring.zero))

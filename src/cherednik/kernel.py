@@ -514,16 +514,16 @@ def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -
     # characteristic-2, t=1, generic c, odd n: ker B[3] = 0, so it is enough
     # to drive every operator multiset of weight d-3 and test the reduced
     # images; intermediate images stay unreduced (no x_n substitution), as
-    # raw (denominator, terms) groups of the Dunkl core.
+    # the packed raw groups of the Dunkl core.
     start = {(0,) * nv: lift_raw(f)}
     depth = d - 3
     leaves = _tree_search(
         start,
-        lambda g, j: [(den, h) for den, terms in g if (h := dunkl_z_raw(terms, j, ctx))],
+        lambda g, j: dunkl_z_raw(g, j, ctx),
         nv,
         depth,
         classes,
-        lambda g: not g,
+        lambda g: not g.groups,
     )
     for a in sorted(leaves):
         reduced = reduce_raw(leaves[a], ctx)

@@ -26,13 +26,15 @@ class StabilityInstance:
     """An n-independent polynomial template in canonical variables x_1..x_k.
 
     terms map exponent tuples (length k) to integer c-coefficient tuples;
-    ({(6,): (1,)}) is x_1^6, ({(3,): (0, 1)}) is c * x_1^3.
+    ({(6,): (1,)}) is x_1^6, ({(3,): (0, 1)}) is c * x_1^3.  The
+    coefficients are residues mod p, the characteristic they were read in.
     """
 
     terms: tuple[tuple[Monomial, tuple[int, ...]], ...]
     k: int
     G: int
     S: int
+    p: int = 2
 
     @property
     def bound(self) -> int:
@@ -45,11 +47,11 @@ class StabilityInstance:
     @staticmethod
     def from_poly(f: ReducedPoly) -> "StabilityInstance":
         """Canonically rename the variables actually used to x_1..x_k."""
+        dom = f.domain
         if f.is_zero():
-            return StabilityInstance(terms=(), k=0, G=0, S=0)
+            return StabilityInstance(terms=(), k=0, G=0, S=0, p=dom.p)
         if not f.is_homogeneous():
             raise ValueError("stability templates must be homogeneous")
-        dom = f.domain
         used = sorted(
             i for i in range(f.nvars) if any(m[i] for m in f.terms)
         )
@@ -69,7 +71,7 @@ class StabilityInstance:
         terms.sort()
         G = f.degree()
         S = max(max(m) for m, _ in terms)
-        return StabilityInstance(terms=tuple(terms), k=k, G=G, S=S)
+        return StabilityInstance(terms=tuple(terms), k=k, G=G, S=S, p=dom.p)
 
     @staticmethod
     def from_text(text: str, p: int = 2) -> "StabilityInstance":
@@ -96,7 +98,7 @@ class StabilityInstance:
         return ReducedPoly(dom, ctx.nvars, terms)
 
     def text(self) -> str:
-        dom = CoeffDomain.generic(2)
+        dom = CoeffDomain.generic(self.p)
         terms = {m: dom.from_c_poly(c) for m, c in self.terms}
         return format_poly(ReducedPoly(dom, self.k, terms)) if terms else "0"
 
@@ -140,15 +142,16 @@ class StabilityVerdict:
 
 
 def _sweep_values(inst: StabilityInstance, extra_above_bound: int) -> list[int]:
+    """Odd n from the smallest admissible one up to the bound, then the extras.
+
+    The smallest admissible n is always swept, also when the bound lies
+    below it: an empty sweep would certify anything.
+    """
     start = max(3, inst.k + 1)
     if start % 2 == 0:
         start += 1
-    ns = [n for n in range(start, inst.bound + 1, 2)]
-    top = ns[-1] if ns else start
-    for _ in range(extra_above_bound):
-        top += 2
-        ns.append(top)
-    return ns
+    ns = list(range(start, max(start, inst.bound) + 1, 2))
+    return ns + [ns[-1] + 2 * j for j in range(1, extra_above_bound + 1)]
 
 
 def is_stably_in_kernel(

@@ -3,8 +3,10 @@ import pytest
 from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, parse_poly
 from cherednik.dunkl import DunklContext, dunkl_difference
+from cherednik.kernel import contravariant_pairing
 from cherednik.stability import (
     StabilityInstance,
+    _sweep_values,
     certify_mixed_kernel_generator,
     is_stably_in_kernel,
     stability_bound,
@@ -46,6 +48,33 @@ def test_rejected_monomial_with_witness():
     assert not v.stable
     assert v.per_n[-1].n == 3  # first odd n already fails
     assert v.per_n[-1].witness is not None
+
+
+@pytest.mark.parametrize("text", ["x1", "x1+x2"])
+def test_bound_below_first_admissible_n_is_still_swept(text):
+    # S + k + G - 2 < 3 here; the sweep must still run n = 3, where
+    # B(y_1, f) = c + 1 rejects f
+    v = is_stably_in_kernel(inst(text))
+    assert not v.stable
+    assert [(e.n, e.in_kernel, e.witness) for e in v.per_n] == [(3, False, (1, 0))]
+    ctx = DunklContext.make(n=3, p=2, t=1)
+    f = inst(text).instantiate(ctx)
+    c = ctx.domain.c_scalar()
+    assert contravariant_pairing((1, 0), f, ctx).value == ctx.domain.add(c, ctx.domain.one)
+
+
+def test_extra_n_follow_the_first_admissible_n():
+    # before the fix the extras of "x1" started at 5 and skipped n = 3
+    assert _sweep_values(inst("x1"), 2) == [3, 5, 7]
+    assert _sweep_values(inst("x1^4*x2^4"), 1) == [3, 5, 7, 9, 11, 13]
+
+
+def test_text_formats_over_the_instance_characteristic():
+    a = StabilityInstance.from_text("2*x1^2*x2+x1*x2^2", p=3)
+    assert a.p == 3
+    assert a.text() == "2*x1^2*x2+x1*x2^2"
+    assert StabilityInstance.from_text(a.text(), p=3) == a
+    assert inst("(c+1)*x1^2*x2+x1*x2^2").text() == "(c+1)*x1^2*x2+x1*x2^2"
 
 
 def test_triple_application_residual_every_admissible_n():
