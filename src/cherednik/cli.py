@@ -18,7 +18,7 @@ from functools import reduce
 from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
-from .fields import CoeffDomain, UncertifiedFunctionField
+from .fields import CoeffDomain
 from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
 from .kernel import (
@@ -36,7 +36,7 @@ from .kernel import (
 from .catalog import singular_catalog
 from .series import (
     CongruenceData,
-    Series,
+    IncompleteSeriesError,
     baby_verma_series,
     compare,
     computed_hilbert,
@@ -62,8 +62,6 @@ def _eprint(*args):
 def _context(p: int, n: int, t: int, c: str) -> DunklContext:
     if c == "generic":
         dom = CoeffDomain.generic(p)
-    elif c == "fast-eval":
-        dom = UncertifiedFunctionField(p)
     else:
         dom = CoeffDomain.prime(p, int(c))
     return DunklContext(n=n, t=t, domain=dom)
@@ -77,7 +75,7 @@ def _default_c(t: int, args_c: str | None) -> str:
 
 def _conjecture_applies(p: int, c: str) -> bool:
     """The closed-form conjectures are stated for c != 0."""
-    return c in ("generic", "fast-eval") or int(c) % p != 0
+    return c == "generic" or int(c) % p != 0
 
 
 def _run_cell(
@@ -86,41 +84,38 @@ def _run_cell(
     t: int,
     c: str,
     max_degree: int | None,
-    fast_eval: bool,
+    *,
     budget_seconds: float | None = None,
 ) -> RunRecord:
     """Compute one (p, n, t) cell and assemble its RunRecord."""
-    return _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds)[0]
+    return _cell_and_kernel(p, n, t, c, max_degree, budget_seconds)[0]
 
 
-def _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds):
-    """(RunRecord, the graded kernel it was read from, or None past the budget)."""
+def _cell_and_kernel(p, n, t, c, max_degree, budget_seconds=None):
+    """(RunRecord, the graded kernel it was read from, or None if it stopped short).
+
+    A run stopped by the budget or by ``max_degree`` before the first zero
+    of dim L gets ``status="exceeded_cap"`` and the dims it finished.
+    """
     start = time.monotonic()
-    c_mode = c
-    if fast_eval and c == "generic":
-        c_mode = "fast-eval"
-    key = RunRecord.make_key(p, n, t, c_mode)
-    record = RunRecord(key=key)
+    record = RunRecord(key=RunRecord.make_key(p, n, t, c))
     record.timing = {"timestamp": datetime.datetime.now().isoformat()}
     notes = record.notes
     try:
         gk = compute_graded_kernel(
-            _context(p, n, t, c_mode),
+            _context(p, n, t, c),
             max_degree=max_degree,
             budget_seconds=budget_seconds,
         )
         series = computed_hilbert(gk)
-        if c_mode == "fast-eval":
-            series = Series(series.coeffs, "computed-fast-eval")
-            notes.append(
-                "fast-eval: c evaluated at points of small fields F_{p^k} and "
-                "entries rebuilt without the degree-bound certificate; "
-                "NOT a certified generic-c result"
-            )
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, IncompleteSeriesError) as exc:
         record.status = "exceeded_cap"
-        record.dims = {str(d): list(v) for d, v in exc.partial_dims.items()}
-        record.notes.append(str(exc))
+        if isinstance(exc, BudgetExceeded):
+            record.dims = {str(d): list(v) for d, v in exc.partial_dims.items()}
+            notes.append(str(exc))
+        else:
+            record.dims = {str(d): list(v) for d, v in gk.dims().items()}
+            notes.append(f"stopped at --max-degree {max_degree}, before the first zero of dim L")
         record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
         return record, None
     record.series = series.to_json()
@@ -159,16 +154,6 @@ def _cell_and_kernel(p, n, t, c, max_degree, fast_eval, budget_seconds):
     return record, gk
 
 
-def _fast_eval_series(p, n, t, max_degree, budget_seconds):
-    """(series, dims) with the elimination certificate skipped."""
-    gk = compute_graded_kernel(
-        _context(p, n, t, "fast-eval"),
-        max_degree=max_degree,
-        budget_seconds=budget_seconds,
-    )
-    return Series(computed_hilbert(gk).coeffs, "computed-fast-eval"), gk.dims()
-
-
 def _print_record(record: RunRecord) -> None:
     print(json.dumps(record.to_json(), sort_keys=True))
     k = record.key
@@ -185,30 +170,37 @@ def _print_record(record: RunRecord) -> None:
             )
 
 
+def _note_fast_eval(args) -> None:
+    if args.fast_eval:
+        _eprint(
+            "note: --fast-eval is retired and does nothing; this run takes the "
+            "certified generic-c path, whose certificate costs under 1% of a run"
+        )
+
+
 def cmd_hilbert(args) -> int:
     c = _default_c(args.t, args.c)
-    if args.fast_eval and c != "generic":
-        _eprint("note: --fast-eval only applies to generic-c runs; ignored")
+    _note_fast_eval(args)
     cache = RunCache(args.cache_dir)
-    c_mode = "fast-eval" if (args.fast_eval and c == "generic") else c
-    key = RunRecord.make_key(args.p, args.n, args.t, c_mode)
+    key = RunRecord.make_key(args.p, args.n, args.t, c)
     record = gk = None
     if not args.no_cache:
         record = cache.lookup(key)
         if record is not None:
             record.notes = list(record.notes) + ["cache hit"]
     if record is None:
-        record, gk = _cell_and_kernel(
-            args.p, args.n, args.t, c, args.max_degree, args.fast_eval, None
-        )
-        cache.store(record)
-    if args.dump_kernel and record.status == "ok" and c_mode != "fast-eval":
+        record, gk = _cell_and_kernel(args.p, args.n, args.t, c, args.max_degree)
+        if record.status == "ok":  # lookups see no --max-degree: keep capped runs out
+            cache.store(record)
+    if args.dump_kernel and record.status == "ok":
         if gk is None:  # a cache hit: the record was stored without its kernel
             gk = compute_graded_kernel(_context(args.p, args.n, args.t, c), max_degree=args.max_degree)
         Path(args.dump_kernel).write_text(
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
         )
     _print_record(record)
+    if record.status == "exceeded_cap":
+        return EXIT_OK
     if record.status != "ok":
         return EXIT_INTERNAL
     if not _conjecture_applies(args.p, c):
@@ -313,13 +305,13 @@ def cmd_sweep(args) -> int:
     ns = [int(x) for x in args.n_list.split(",") if x.strip()] if args.n_list else []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _note_fast_eval(args)
     cache = RunCache(args.cache_dir)
     rows = []
+    c = _default_c(args.t, args.c)
     for p in ps:
         for n in ns:
-            c = _default_c(args.t, args.c)
-            c_mode = "fast-eval" if (args.fast_eval and c == "generic") else c
-            key = RunRecord.make_key(p, n, args.t, c_mode)
+            key = RunRecord.make_key(p, n, args.t, c)
             record = cache.lookup(key)
             if record is None:
                 try:
@@ -329,14 +321,14 @@ def cmd_sweep(args) -> int:
                         args.t,
                         c,
                         args.max_degree,
-                        args.fast_eval,
                         budget_seconds=args.budget_seconds,
                     )
                 except Exception as exc:  # record the failure, keep sweeping
                     record = RunRecord(
                         key=key, status="error", notes=[repr(exc)]
                     )
-                cache.store(record)
+                if record.status == "ok":  # lookups see no cap or budget
+                    cache.store(record)
             cell_path = out_dir / f"run_p{p}_n{n}_t{args.t}.json"
             cell_path.write_text(
                 json.dumps(record.to_json(), sort_keys=True, indent=1)
@@ -511,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--t", type=int, required=True, choices=(0, 1))
     h.add_argument("--c", type=str, default=None, help="'generic' or a residue mod p")
     h.add_argument("--max-degree", type=int, default=None)
-    h.add_argument("--fast-eval", action="store_true")
+    h.add_argument("--fast-eval", action="store_true", help="retired: a no-op")
     h.add_argument("--no-cache", action="store_true")
     h.add_argument("--cache-dir", type=str, default=None)
     h.add_argument("--dump-kernel", type=str, default=None)
@@ -535,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
     sw.add_argument("--max-degree", type=int, default=None)
-    sw.add_argument("--fast-eval", action="store_true")
+    sw.add_argument("--fast-eval", action="store_true", help="retired: a no-op")
     sw.add_argument("--budget-seconds", type=float, default=None)
     sw.add_argument("--cache-dir", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)

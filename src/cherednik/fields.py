@@ -8,7 +8,6 @@ scalar values:
   * ``RationalFunctionField(p)`` -- "generic c": scalars are reduced fractions
                                  num/den of univariate polynomials in c over
                                  F_p, denominator monic, gcd(num, den) = 1.
-                                 (``UncertifiedFunctionField``: --fast-eval)
   * ``TableField``            -- F_{p^k} = F_p[c]/(m), p^k <= 2^16, by log/exp
                                  tables: the points where F_p[c] matrices
                                  are eliminated.
@@ -254,6 +253,22 @@ class CoeffDomain:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def prepare(self, prow: dict) -> dict:
+        """A final pivot row in the form ``subtract_multiple`` reads."""
+        return prow
+
+    def subtract_multiple(self, row: dict, fac, prow: dict) -> None:
+        """row -= fac * prow in place, prow as ``prepare`` gave it; entries
+        that become zero are dropped."""
+        neg, add, mul, is_zero = self.neg(fac), self.add, self.mul, self.is_zero
+        for k, v in prow.items():
+            cur = row.get(k)
+            nv = mul(neg, v) if cur is None else add(cur, mul(neg, v))
+            if is_zero(nv):
+                row.pop(k, None)
+            else:
+                row[k] = nv
+
     def c_scalar(self):
         """The deformation parameter c as a scalar of this domain."""
         raise NotImplementedError
@@ -334,7 +349,6 @@ class RationalFunctionField(CoeffDomain):
     """
 
     c_mode = "generic"
-    certified = True
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -441,13 +455,6 @@ def _fmt_cpoly(coeffs: tuple[int, ...]) -> str:
     return "+".join(parts)
 
 
-class UncertifiedFunctionField(RationalFunctionField):
-    """F_p(c) for ``--fast-eval``: eliminations skip the degree-bound certificate."""
-
-    c_mode = "fast-eval"
-    certified = False
-
-
 # ---------------------------------------------------------------------------
 # Table fields F_{p^k} = F_p[c]/(m): the evaluation points of F_p(c)
 # ---------------------------------------------------------------------------
@@ -518,7 +525,9 @@ class TableField(CoeffDomain):
     A value is the code sum a_i p^i of its residue sum a_i c^i mod m (at
     p = 2, the F_2[c] bitmask), 0 being zero.  c generates the units, so
     log/exp tables (``array``, built in O(p^k)) give products.  Sums are XOR
-    at p = 2 and by the Zech relation a + b = a (1 + b/a) at odd p.
+    at p = 2 and by the Zech relation a + b = a (1 + b/a) at odd p.  The row
+    update of elimination reads pivot rows in log form (``prepare``), so
+    ``subtract_multiple`` does each entry inline, without a method call.
     """
 
     c_mode = "point"
@@ -587,6 +596,41 @@ class TableField(CoeffDomain):
 
     def neg(self, a):
         return self._exp[self._log[a] + self.order // 2] if a else 0
+
+    def prepare(self, prow: dict) -> dict:
+        """The pivot row as {col: log v}, so a multiple is one exp lookup."""
+        log = self._log
+        return {k: log[v] for k, v in prow.items()}
+
+    def subtract_multiple(self, row: dict, fac, prow: dict) -> None:
+        """row -= fac * prow in place, prow in log form (``prepare``)."""
+        exp, log, get = self._exp, self._log, row.get
+        if self.p == 2:  # -fac = fac; a sum of equal codes is the only zero
+            lf = log[fac]
+            for k, lv in prow.items():
+                nv = get(k, 0) ^ exp[lf + lv]
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            return
+        p, order = self.p, self.order
+        lf = (log[fac] + order // 2) % order  # log(-fac): -1 = c^(order/2)
+        for k, lv in prow.items():
+            lb = lf + lv
+            cur = get(k)
+            if cur is None:
+                row[k] = exp[lb]
+                continue
+            # Zech step as in ``add``: cur + b = cur (1 + b/cur); lb - la lies
+            # above -order, and a negative index wraps into the doubled table
+            la = log[cur]
+            x = exp[lb - la]
+            one_plus_x = x - x % p + (x + 1) % p
+            if one_plus_x:
+                row[k] = exp[la + log[one_plus_x]]
+            else:
+                del row[k]
 
 
 # ---------------------------------------------------------------------------

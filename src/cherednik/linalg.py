@@ -12,7 +12,11 @@ One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
 Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
 matrix is evaluated at points of small table fields, reduced there by the
 same routine, rebuilt by CRT and rational reconstruction and certified
-exactly by a degree bound (``_modular_rref`` gives the proof).
+exactly by a degree bound (``_modular_rref`` gives the proof).  The field
+supplies the inner row update (``CoeffDomain.subtract_multiple``) on pivot
+rows it has put in its own form once (``prepare``): a table field keeps a
+pivot row as logs, so each entry of row - f * pivot is one exp lookup and an
+XOR at p = 2, or an inline Zech step at odd p.
 Characteristic-2 rows are packed into single big integers (entries are
 F_2[c] bitmasks laid side by side) so that the inner product against a
 sparse column is a handful of shifts and XORs.  At odd p an entry becomes an
@@ -224,18 +228,6 @@ def rref_scalar_rows(
     ]
 
 
-def _subtract_multiple(domain: CoeffDomain, row: dict, fac, prow: dict) -> None:
-    """row -= fac * prow in place; entries that become zero are dropped."""
-    neg, add, mul, is_zero = domain.neg(fac), domain.add, domain.mul, domain.is_zero
-    for k, v in prow.items():
-        cur = row.get(k)
-        nv = mul(neg, v) if cur is None else add(cur, mul(neg, v))
-        if is_zero(nv):
-            row.pop(k, None)
-        else:
-            row[k] = nv
-
-
 def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
     """Canonical RREF of sparse field-scalar rows; returns (rows, pivot cols).
 
@@ -244,7 +236,9 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
     that leaves the lead entry in place means the field's arithmetic is
     wrong: it raises ArithmeticError rather than loop.
     """
+    subtract, prepare = domain.subtract_multiple, domain.prepare
     pivots: dict[int, dict[int, object]] = {}
+    prepared: dict[int, dict[int, object]] = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -252,16 +246,18 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
             if lead not in pivots:
                 inv = domain.inv(row[lead])
                 pivots[lead] = {k: domain.mul(v, inv) for k, v in row.items()}
+                prepared[lead] = prepare(pivots[lead])
                 break
-            _subtract_multiple(domain, row, row[lead], pivots[lead])
+            subtract(row, row[lead], prepared[lead])
             if lead in row:
                 raise ArithmeticError(f"a row operation left column {lead} nonzero")
-    # back-substitution across pivot rows
+    # back-substitution across pivot rows; pivot pc is final once every
+    # pivot to its right has been subtracted from it
     for pc in sorted(pivots, reverse=True):
-        prow = pivots[pc]
+        prow = prepare(pivots[pc])
         for qc, qrow in pivots.items():
             if qc != pc and pc in qrow:
-                _subtract_multiple(domain, qrow, qrow[pc], prow)
+                subtract(qrow, qrow[pc], prow)
     ordered = sorted(pivots)
     return [pivots[c] for c in ordered], ordered
 
@@ -313,7 +309,7 @@ def reduce_by_rref(
     for pc, row in zip(pivot_cols, rref_rows):
         coef = v.get(pc)
         if coef is not None and not domain.is_zero(coef):
-            _subtract_multiple(domain, v, coef, row)
+            domain.subtract_multiple(v, coef, domain.prepare(row))
     return v
 
 
@@ -346,7 +342,7 @@ def _modular_rref(adapter: RingAdapter, rows: list[list]):
     The r rows of R have distinct pivots and annihilate V by construction,
     so they span the row space of A and, being in RREF form, are its RREF.
     A bad point fails the certificate, so it costs time but never changes
-    the answer.  ``--fast-eval`` (an ``UncertifiedFunctionField``) skips it.
+    the answer.
     """
     dom, R = adapter.domain, adapter.ring
     ncols = len(rows[0])
@@ -366,9 +362,8 @@ def _modular_rref(adapter: RingAdapter, rows: list[list]):
         best = key
         used.append((F, point_rows))
         rebuilt = _reconstruct(R, used)
-        if rebuilt is not None and (
-            not dom.certified
-            or _certified(R, colmax, rebuilt, natural_kernel(dom, rebuilt, pivots, ncols), used)
+        if rebuilt is not None and _certified(
+            R, colmax, rebuilt, natural_kernel(dom, rebuilt, pivots, ncols), used
         ):
             return rebuilt, pivots
     raise ArithmeticError(f"no certified elimination after {MAX_POINTS} points")

@@ -70,7 +70,7 @@ class StabilityInstance:
             terms.append((tuple(mm), tuple(int(a) for a in coeffs)))
         terms.sort()
         G = f.degree()
-        S = max(max(m) for m, _ in terms)
+        S = max((e for m, _ in terms for e in m), default=0)  # 0 for a constant
         return StabilityInstance(terms=tuple(terms), k=k, G=G, S=S, p=dom.p)
 
     @staticmethod
@@ -175,7 +175,7 @@ def is_stably_in_kernel(
             "the stability criterion is proved only for p=2, t=1, generic c; "
             "pass experimental=True to run a non-certifying sweep"
         )
-    if inst.k == 0:
+    if not inst.terms:  # the zero template lies in ker B for every n
         return StabilityVerdict(
             True, inst.bound, inst.proof_text_bound, inst.text(), [], certifying
         )

@@ -94,7 +94,7 @@ def test_hilbert_c0_conjecture_not_applicable(tmp_path):
 
 
 def test_t1_record_reports_per_degree_timing():
-    rec = _run_cell(2, 5, 1, "generic", None, False).to_json()
+    rec = _run_cell(2, 5, 1, "generic", None).to_json()
     per_degree = rec["timing"]["per_degree"]
     assert [row["degree"] for row in per_degree] == list(range(1, 14))
     for row in per_degree:
@@ -169,7 +169,7 @@ def test_budget_stop_records_the_finished_degrees(monkeypatch):
     monkeypatch.setattr(
         kernel, "time", SimpleNamespace(monotonic=lambda: next(ticks), perf_counter=time.perf_counter)
     )
-    rec = _run_cell(2, 5, 1, "generic", None, False, budget_seconds=2.5)
+    rec = _run_cell(2, 5, 1, "generic", None, budget_seconds=2.5)
     assert rec.status == "exceeded_cap"
     assert "at degree 3" in rec.notes[-1]
     gk = kernel.GradedKernel(DunklContext.make(n=5, p=2, t=1))
@@ -178,13 +178,46 @@ def test_budget_stop_records_the_finished_degrees(monkeypatch):
     assert sorted(rec.dims) == ["0", "1", "2"]
 
 
+def test_max_degree_below_the_first_zero_records_the_finished_degrees(tmp_path):
+    # p=2, n=3, t=1 reaches dim L = 0 at degree 9; a cap of 3 stops short
+    capped = run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "1", "--max-degree", "3"], tmp_path)
+    assert capped.returncode == 0, capped.stderr
+    rec = record_of(capped)
+    assert rec["status"] == "exceeded_cap"
+    assert rec["series"] is None
+    gk = kernel.compute_graded_kernel(DunklContext.make(n=3, p=2, t=1), max_degree=3)
+    assert rec["dims"] == {str(d): list(v) for d, v in gk.dims().items()}
+    assert "--max-degree 3" in rec["notes"][-1]
+    # the capped record is not cached: a later uncapped run computes the series
+    assert not (tmp_path / "cache" / "runs.jsonl").exists()
+    full = record_of(run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "1"], tmp_path))
+    assert full["status"] == "ok" and "cache hit" not in full["notes"]
+    assert full["series"]["coeffs"] == [1, 2, 3, 4, 4, 4, 3, 2, 1]
+
+
+@pytest.mark.parametrize("stop", [["--max-degree", "3"], ["--budget-seconds", "0"]])
+def test_sweep_caches_only_complete_cells(tmp_path, stop):
+    # a cell cut short by a cap or a budget is written out but not cached,
+    # so a later sweep without the limit computes the full series
+    args = ["sweep", "--p-list", "2", "--n-list", "3", "--t", "1", "--out", str(tmp_path / "grid")]
+    cell = tmp_path / "grid" / "run_p2_n3_t1.json"
+    assert run_cli(args + stop, tmp_path).returncode == 0
+    assert json.loads(cell.read_text())["status"] == "exceeded_cap"
+    assert not (tmp_path / "cache" / "runs.jsonl").exists()
+    assert run_cli(args, tmp_path).returncode == 0
+    assert json.loads(cell.read_text())["status"] == "ok"
+
+
 def test_fast_eval_agrees_with_exact(tmp_path):
-    exact = run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "1"], tmp_path)
-    fast = run_cli(
-        ["hilbert", "--p", "2", "--n", "3", "--t", "1", "--fast-eval"], tmp_path
-    )
-    assert record_of(exact)["series"]["coeffs"] == record_of(fast)["series"]["coeffs"]
-    assert any("NOT a certified" in note for note in record_of(fast)["notes"])
+    # --fast-eval is a retired no-op: a note on stderr, then the certified run
+    args = ["hilbert", "--p", "2", "--n", "3", "--t", "1", "--no-cache"]
+    exact = run_cli(args, tmp_path)
+    fast = run_cli(args + ["--fast-eval"], tmp_path)
+    assert fast.returncode == exact.returncode == 0
+    assert strip_timing(record_of(fast)) == strip_timing(record_of(exact))
+    assert record_of(fast)["key"]["c_mode"] == "generic"
+    assert "--fast-eval is retired" in fast.stderr
+    assert "--fast-eval" not in exact.stderr
 
 
 def test_check_singular(tmp_path):

@@ -1,6 +1,8 @@
 """Elimination over F_p, the certified modular route over F_p(c) and the
 table fields it runs on."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +254,29 @@ def test_table_field_matches_polynomial_arithmetic(p, xs, ys, j):
     else:
         with pytest.raises(ZeroDivisionError):
             F.inv(ea)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_table_field_row_update_matches_the_generic_one(p):
+    # seeded random sparse rows; some entries are set to cancel, and on
+    # every other trial the lead column of the pivot row cancels too
+    F, rng = point_field(p, 0), random.Random(p)
+    cancelled = lead_cancelled = 0
+    for trial in range(600):
+        cols = rng.sample(range(40), rng.randrange(1, 25))
+        prow = {k: rng.randrange(1, F.q) for k in cols}
+        row = {k: rng.randrange(1, F.q) for k in rng.sample(range(40), rng.randrange(0, 25))}
+        fac = rng.randrange(1, F.q)
+        for k in cols:
+            if rng.random() < 0.3 or (trial % 2 and k == min(cols)):
+                row[k] = F.mul(fac, prow[k])
+        want, got = dict(row), dict(row)
+        CoeffDomain.subtract_multiple(F, want, fac, prow)
+        F.subtract_multiple(got, fac, F.prepare(prow))
+        assert got == want and all(got.values())
+        cancelled += len(row.keys() - got.keys())
+        lead_cancelled += min(cols) not in got
+    assert cancelled > lead_cancelled >= 300
 
 
 def entrywise_product(p, rows, cols):

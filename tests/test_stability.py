@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from cherednik import cli
 from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, parse_poly
 from cherednik.dunkl import DunklContext, dunkl_difference
@@ -61,6 +64,21 @@ def test_bound_below_first_admissible_n_is_still_swept(text):
     f = inst(text).instantiate(ctx)
     c = ctx.domain.c_scalar()
     assert contravariant_pairing((1, 0), f, ctx).value == ctx.domain.add(c, ctx.domain.one)
+
+
+def test_constant_template_is_rejected_at_the_first_admissible_n(capsys):
+    # a nonzero constant is a template with k = G = S = 0, and B(1, 1) = 1
+    a = inst("1")
+    assert (a.k, a.G, a.S) == (0, 0, 0)
+    v = is_stably_in_kernel(a)
+    assert not v.stable
+    assert [(e.n, e.in_kernel, e.witness) for e in v.per_n] == [(3, False, (0, 0))]
+    ctx = DunklContext.make(n=3, p=2, t=1)
+    assert contravariant_pairing((0, 0), a.instantiate(ctx), ctx).value == ctx.domain.one
+    # the zero template still holds with nothing to sweep
+    assert is_stably_in_kernel(inst("0")).stable
+    assert cli.main(["check", "stable", "--poly", "1", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is False
 
 
 def test_extra_n_follow_the_first_admissible_n():
