@@ -8,7 +8,7 @@ conjectured closed-form Hilbert series.
 
 __version__ = "0.1.0"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # RunRecord cache keys; 2: dims end at the first zero of dim L
 
 from .fields import (  # noqa: F401
     CoeffDomain,

@@ -17,8 +17,8 @@ import time
 from functools import reduce
 from pathlib import Path
 
-from . import FORMAT_VERSION, __version__
-from .fields import CoeffDomain
+from . import __version__
+from .fields import CoeffDomain, RationalFunctionField
 from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
 from .kernel import (
@@ -216,7 +216,7 @@ def export_kernel_json(gk) -> dict:
     """Kernel bases as JSON arrays of formatted polynomials, keyed per degree."""
     ctx = gk.ctx
     out = {
-        "format_version": FORMAT_VERSION,
+        "format_version": 1,  # this schema's own version, not the cache key's
         "p": ctx.p,
         "n": ctx.n,
         "t": ctx.t,
@@ -409,15 +409,23 @@ def cmd_selftest(args) -> int:
         want = linalg.sparse_rref(dom, [{j: (v, R.one) for j, v in enumerate(r) if v} for r in A])
         try:
             rows, pivots = linalg.echelon(adapter, A)
-            rref = linalg.rref_scalar_rows(adapter, rows, pivots)
-            ok = (rref, pivots) == want and linalg.kernel_from_rref(dom, rref, pivots, ncols) == (
-                linalg.sparse_rref(dom, linalg.natural_kernel(dom, *want, ncols))
-            )
+            ok = (linalg.rref_scalar_rows(adapter, rows, pivots), pivots) == want
         except ArithmeticError:  # no certificate at any point
             ok = False
         if not ok:
             elim_bad.append(f"(p={p}, {nrows}x{ncols} of rank <= {rank})")
     report("generic elimination vs field-fraction RREF (5 matrices)", not elim_bad, "".join(elim_bad[:1]))
+
+    kern_bad = []  # the engine and the Gram oracle share this route, so check it on its own
+    for dom in [CoeffDomain.prime(p) for p in (2, 3, 5)] + [CoeffDomain.generic(p) for p in (2, 3)]:
+        draw = dom.from_c_poly if isinstance(dom, RationalFunctionField) else lambda c: dom.from_int(c[0])
+        for nrows, ncols in [(0, 4), (1, 5), (3, 6), (4, 4)]:
+            values = [[draw([rng.randrange(dom.p), rng.randrange(dom.p)]) for _ in range(ncols)] for _ in range(nrows)]
+            rref, pivots = linalg.sparse_rref(dom, [{j: v for j, v in enumerate(r) if not dom.is_zero(v)} for r in values])
+            want = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, ncols))
+            if linalg.kernel_from_rref(dom, rref, pivots, ncols) != want:
+                kern_bad.append(f"({dom!r}, {nrows}x{ncols} of rank {len(pivots)})")
+    report("kernel extraction vs reduced natural kernel (20 matrices)", not kern_bad, "".join(kern_bad[:1]))
 
     for p, t, n, dmax in [(2, 0, 3, 5), (2, 1, 3, 6), (3, 0, 4, 5)]:
         ctx = DunklContext.make(n=n, p=p, t=t)

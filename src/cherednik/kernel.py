@@ -145,28 +145,17 @@ class GradedKernel:
         start = time.perf_counter()
         ctx = self.ctx
         dom = ctx.domain
-        nv = ctx.nvars
         adapter = self.adapter
         points_before = getattr(dom, "points_tried", 0)
         prev = self.degrees[d - 1]
-        monos = monomials_of_degree(nv, d)
-        ncols = len(monos)
-        if prev.dim_l == 0:
-            kernel_rows, kernel_pivots = linalg.identity_kernel(dom, ncols)
-            data = DegreeData(d, ncols, kernel_rows, kernel_pivots, 0, [])
-            self.degrees[d] = data
-            return data
+        ncols = len(monomials_of_degree(ctx.nvars, d))
         stacked: list[list] = []
-        for cols_i in dunkl_matrices(d, ctx):
-            stacked.extend(
-                linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i)
-            )
+        if prev.dim_l:  # once L[d-1] = 0 there is nothing to pair with: ker B[d] is everything
+            for cols_i in dunkl_matrices(d, ctx):
+                stacked.extend(linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i))
         ech_rows, ech_pivots = linalg.echelon(adapter, stacked)
         rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-        if ech_pivots:
-            kernel_rows, kernel_pivots = linalg.kernel_from_rref(dom, rref, ech_pivots, ncols)
-        else:  # every image already lies in ker B[d-1]
-            kernel_rows, kernel_pivots = linalg.identity_kernel(dom, ncols)
+        kernel_rows, kernel_pivots = linalg.kernel_from_rref(dom, rref, ech_pivots, ncols)
         dim_l = len(ech_pivots)
         if dim_l + len(kernel_rows) != ncols:
             raise AssertionError("rank accounting failed")
@@ -264,13 +253,12 @@ def compute_graded_kernel(
     ctx: DunklContext,
     max_degree: int | None = None,
     budget_seconds: float | None = None,
-    verify_extra: int = 2,
 ) -> GradedKernel:
-    """Run the engine until the quotient dimension hits zero (plus checks).
+    """Run the engine up to the first degree with dim L = 0, and no further.
 
-    Stops at the first degree with dim L = 0, then verifies `verify_extra`
-    further degrees are also zero.  The default hard cap is the baby-Verma
-    support bound (never below n + 10), past which dim L provably vanishes.
+    L = k[x]/ker B is generated by 1 in degree 0, so L[d] = 0 forces L[e] = 0
+    for every e >= d.  The default hard cap is the baby-Verma support bound
+    (never below n + 10), past which dim L provably vanishes.
     """
     cap = (
         max_degree
@@ -279,24 +267,15 @@ def compute_graded_kernel(
     )
     gk = GradedKernel(ctx)
     start = time.monotonic()
-    d = 1
-    while d <= cap:
+    for d in range(1, cap + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             raise BudgetExceeded(
                 f"kernel run exceeded {budget_seconds}s at degree {d}", gk.dims()
             )
-        data = gk.compute_degree(d)
-        if data.dim_l == 0:
+        if gk.compute_degree(d).dim_l == 0:
             gk.first_zero_degree = d
-            for extra in range(1, verify_extra + 1):
-                more = gk.compute_degree(d + extra)
-                if more.dim_l != 0:
-                    raise AssertionError(
-                        f"dim L became nonzero again at degree {d + extra}"
-                    )
             gk.completed = True
             break
-        d += 1
     return gk
 
 

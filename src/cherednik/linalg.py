@@ -6,7 +6,8 @@ The kernel engine needs three things, all deterministic:
     ring values (the constraint rows of the previous degree) and D is a
     sparse Dunkl matrix whose entries have tiny c-degree;
   * the canonical RREF of A, and the kernel of A extracted from it, again
-    in canonical RREF under the graded-lex column order.
+    in canonical RREF under the graded-lex column order, read off the RREF
+    from the right so that it needs no elimination of its own.
 
 One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
 Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
@@ -270,14 +271,24 @@ def kernel_from_rref(
 ):
     """Kernel of the constraint matrix, as canonical sparse RREF rows.
 
-    Over F_p(c) the modular route reduces the kernel basis read off the rows,
-    so the kernel is certified against them too.
+    Read off the RREF from the right (the L rows reduced with their columns
+    reversed, so each pivot is the largest column of its row): free column f
+    gives v_f = e_f minus column f of those rows, which is canonical as it
+    stands, as its other entries sit at right pivots, all to the right of f.
+    Over F_p(c) the modular route reduces the rows, so the kernel is certified.
     """
-    vectors = natural_kernel(domain, rref_rows, pivot_cols, ncols)
-    if not isinstance(domain, RationalFunctionField) or not vectors:
-        return sparse_rref(domain, vectors)
-    adapter = RingAdapter(domain)
-    return _modular_rref(adapter, [adapter.clear_denominators(v, ncols) for v in vectors])
+    if not rref_rows:
+        return identity_kernel(domain, ncols)
+    top = ncols - 1
+    flipped = [{top - c: v for c, v in row.items()} for row in rref_rows]
+    if isinstance(domain, RationalFunctionField):
+        adapter = RingAdapter(domain)
+        right = _modular_rref(adapter, [adapter.clear_denominators(r, ncols) for r in flipped])
+    else:
+        right = sparse_rref(domain, flipped)
+    rows = [{top - c: v for c, v in row.items()} for row in right[0]]
+    vectors = natural_kernel(domain, rows, [top - c for c in right[1]], ncols)
+    return vectors, [min(v) for v in vectors]
 
 
 def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, ncols: int) -> list[dict]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherednik import linalg
-from cherednik.fields import CoeffDomain, PrimeField, point_field
+from cherednik.fields import CoeffDomain, PrimeField, RationalFunctionField, point_field
 
 
 def field_fraction_route(dom, A):
@@ -104,6 +104,51 @@ def test_echelon_over_a_prime_field_against_enumeration(case):
     assert len(span(p, dense, ncols)) == p ** (ncols - len(pivots)) == p ** len(kernel)
     for v in dense:
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+
+
+@st.composite
+def canonical_rrefs(draw):
+    """(domain, canonical RREF rows, pivots, ncols), with L = 0, 1 and M among the ranks."""
+    dom = draw(
+        st.sampled_from([CoeffDomain.prime(p) for p in (2, 3, 5)] + [CoeffDomain.generic(p) for p in (2, 3)])
+    )
+    ncols = draw(st.integers(1, 7))
+    rank = draw(st.sampled_from([0, 1, ncols, draw(st.integers(0, ncols))]))
+    pivots = sorted(draw(st.permutations(range(ncols)))[:rank])
+    digits = st.lists(st.integers(0, dom.p - 1), max_size=3)
+
+    def entry():
+        if isinstance(dom, PrimeField):
+            return draw(st.integers(0, dom.p - 1))
+        R = dom.ring
+        den = R.from_coeffs(draw(digits))
+        return dom.make(R.from_coeffs(draw(digits)), R.one if den == R.zero else den)
+
+    one = dom.from_int(1)
+    rows = []
+    for pc in pivots:
+        row = {pc: one}
+        for col in range(pc + 1, ncols):
+            if col not in pivots and not dom.is_zero(v := entry()):
+                row[col] = v
+        rows.append(row)
+    return dom, rows, pivots, ncols
+
+
+def reduced_natural_kernel(dom, rows, pivots, ncols):
+    """The kernel read off the RREF from the left: reduce one vector per free column."""
+    vectors = linalg.natural_kernel(dom, rows, pivots, ncols)
+    if not isinstance(dom, RationalFunctionField) or not vectors:
+        return linalg.sparse_rref(dom, vectors)
+    adapter = linalg.RingAdapter(dom)
+    return linalg._modular_rref(adapter, [adapter.clear_denominators(v, ncols) for v in vectors])
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_rrefs())
+def test_kernel_from_the_right_matches_the_reduced_natural_kernel(case):
+    dom, rows, pivots, ncols = case
+    assert linalg.kernel_from_rref(dom, rows, pivots, ncols) == reduced_natural_kernel(dom, rows, pivots, ncols)
 
 
 class OffByOne(PrimeField):
