@@ -55,6 +55,15 @@ def neg_sum_power(domain: CoeffDomain, nvars: int, e: int) -> ReducedPoly:
     return ReducedPoly(domain, nvars, terms)
 
 
+def reduced_variable(ctx, i: int) -> ReducedPoly:
+    """x_i as a reduced polynomial for a DunklContext; i = n expands to -(x_1+...+x_{n-1})."""
+    if not 1 <= i <= ctx.n:
+        raise ValueError(f"index {i} out of 1..{ctx.n}")
+    if i < ctx.n:
+        return ReducedPoly.variable(ctx.domain, ctx.nvars, i)
+    return neg_sum_power(ctx.domain, ctx.nvars, 1)
+
+
 def substitute_variable(f: ReducedPoly, i: int) -> ReducedPoly:
     """Replace x_i by -(x_1 + ... + x_{n-1}) and re-expand."""
     dom = f.domain

@@ -1,7 +1,8 @@
 """Append-only JSON-lines result cache for kernel/series runs.
 
-One RunRecord per line.  The key is (p, n, t, c_mode, format_version); a
-format-version bump invalidates old lines (they are simply never matched).
+One RunRecord per line.  The key is (p, n, t, c_mode, format_version).
+FORMAT_VERSION is bumped whenever an engine change alters an answer; the
+bump invalidates old lines (they are simply never matched).
 Records are stored exactly as serialized, so a cache hit returns the
 byte-identical series for an identical key.  Timestamps and wall times live
 in a separate "timing" field that comparisons are expected to strip.

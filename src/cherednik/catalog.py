@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .fields import RationalFunctionField
 from .poly import ReducedPoly
-from .action import neg_sum_power
+from .action import reduced_variable
 from .dunkl import DunklContext
 
 
@@ -41,14 +41,6 @@ FAMILIES = (
     "quartic_c_pair",
     "coeff_series",
 )
-
-
-def _var(ctx: DunklContext, i: int) -> ReducedPoly:
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"index {i} out of 1..{ctx.n}")
-    if i < ctx.n:
-        return ReducedPoly.variable(ctx.domain, ctx.nvars, i)
-    return neg_sum_power(ctx.domain, ctx.nvars, 1)
 
 
 def _need(cond: bool, family: str, requirement: str):
@@ -69,28 +61,28 @@ def singular_catalog(family: str, params: dict, ctx: DunklContext) -> ReducedPol
         _need(p == 2, family, "p=2")
         i, j = params["i"], params["j"]
         _distinct(i, j)
-        xi, xj = _var(ctx, i), _var(ctx, j)
+        xi, xj = reduced_variable(ctx, i), reduced_variable(ctx, j)
         return xi.mul(xi).add(xi.mul(xj)).add(xj.mul(xj))
     if family == "skew_quad":
         _need(ctx.t == 0, family, "t=0")
         _need(p % 2 == 1, family, "odd p")
         i, j, k = params["i"], params["j"], params["k"]
         _distinct(i, j, k)
-        xi, xj, xk = _var(ctx, i), _var(ctx, j), _var(ctx, k)
+        xi, xj, xk = reduced_variable(ctx, i), reduced_variable(ctx, j), reduced_variable(ctx, k)
         return xj.sub(xk).mul(xi.sub(xj).sub(xk))
     if family == "cubic_pair":
         _need(ctx.t == 0, family, "t=0")
         _need(p == 3, family, "p=3")
         i, j = params["i"], params["j"]
         _distinct(i, j)
-        xi, xj = _var(ctx, i), _var(ctx, j)
+        xi, xj = reduced_variable(ctx, i), reduced_variable(ctx, j)
         return xi.pow(3).sub(xi.pow(2).mul(xj)).add(xj.pow(3))
     if family == "power_pair":
         _need(ctx.t == 0, family, "t=0")
         _need(p % 2 == 1, family, "odd p")
         i, j = params["i"], params["j"]
         _distinct(i, j)
-        xi, xj = _var(ctx, i), _var(ctx, j)
+        xi, xj = reduced_variable(ctx, i), reduced_variable(ctx, j)
         return xi.pow(p).sub(xi.mul(xj.pow(p - 1))).add(xj.pow(p))
     if family == "quartic_c_pair":
         _need(ctx.t == 1, family, "t=1")
@@ -98,13 +90,13 @@ def singular_catalog(family: str, params: dict, ctx: DunklContext) -> ReducedPol
         _need(isinstance(ctx.domain, RationalFunctionField), family, "generic c")
         i, j = params["i"], params["j"]
         _distinct(i, j)
-        xi, xj = _var(ctx, i), _var(ctx, j)
+        xi, xj = reduced_variable(ctx, i), reduced_variable(ctx, j)
         f0 = xi.pow(4).add(xi.pow(2).mul(xj.pow(2))).add(xj.pow(4))
         cubes = ReducedPoly.zero(ctx.domain, ctx.nvars)
         for k in range(1, ctx.n + 1):
             if k in (i, j):
                 continue
-            cubes = cubes.add(_var(ctx, k).pow(3))
+            cubes = cubes.add(reduced_variable(ctx, k).pow(3))
         f1 = xi.pow(2).mul(xj.pow(2)).add(xi.add(xj).mul(cubes))
         return f0.add(f1.scalar_mul(ctx.domain.c_scalar()))
     if family == "coeff_series":
@@ -153,7 +145,7 @@ def _coeff_series_member(params: dict, ctx: DunklContext) -> ReducedPoly:
     # g(z) = prod_j (1 - x_j z), truncated at z^p
     g = [one] + [zero] * p
     for j in range(1, ctx.n + 1):
-        g = series_mul(g, [one, _var(ctx, j).neg()] + [zero] * (p - 1))
+        g = series_mul(g, [one, reduced_variable(ctx, j).neg()] + [zero] * (p - 1))
     g_minus_1 = [g[0].sub(one)] + g[1:]
     # F(z) = sum_{m=0}^{p-1} binom(c, m) (g(z) - 1)^m
     F = [zero] * (p + 1)
@@ -165,7 +157,7 @@ def _coeff_series_member(params: dict, ctx: DunklContext) -> ReducedPoly:
         if m < p - 1:
             power = series_mul(power, g_minus_1)
     # f_i = [z^p] F(z) / (1 - x_i z) = [z^p] F(z) * sum_s x_i^s z^s
-    xi = _var(ctx, i)
+    xi = reduced_variable(ctx, i)
     out = zero
     xi_pow = one
     for s in range(p + 1):

@@ -22,7 +22,7 @@ from .fields import CoeffDomain, RationalFunctionField
 from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
 from .kernel import (
-    BudgetExceeded,
+    GradedKernel,
     _pairings,
     compute_graded_kernel,
     contravariant_pairing,
@@ -36,7 +36,6 @@ from .kernel import (
 from .catalog import singular_catalog
 from .series import (
     CongruenceData,
-    IncompleteSeriesError,
     baby_verma_series,
     compare,
     computed_hilbert,
@@ -59,14 +58,6 @@ def _eprint(*args):
     print(*args, file=sys.stderr)
 
 
-def _context(p: int, n: int, t: int, c: str) -> DunklContext:
-    if c == "generic":
-        dom = CoeffDomain.generic(p)
-    else:
-        dom = CoeffDomain.prime(p, int(c))
-    return DunklContext(n=n, t=t, domain=dom)
-
-
 def _default_c(t: int, args_c: str | None) -> str:
     if args_c is not None:
         return args_c
@@ -84,14 +75,8 @@ def _run_cell(
     t: int,
     c: str,
     max_degree: int | None,
-    *,
     budget_seconds: float | None = None,
-) -> RunRecord:
-    """Compute one (p, n, t) cell and assemble its RunRecord."""
-    return _cell_and_kernel(p, n, t, c, max_degree, budget_seconds)[0]
-
-
-def _cell_and_kernel(p, n, t, c, max_degree, budget_seconds=None):
+) -> tuple[RunRecord, GradedKernel | None]:
     """(RunRecord, the graded kernel it was read from, or None if it stopped short).
 
     A run stopped by the budget or by ``max_degree`` before the first zero
@@ -101,25 +86,21 @@ def _cell_and_kernel(p, n, t, c, max_degree, budget_seconds=None):
     record = RunRecord(key=RunRecord.make_key(p, n, t, c))
     record.timing = {"timestamp": datetime.datetime.now().isoformat()}
     notes = record.notes
-    try:
-        gk = compute_graded_kernel(
-            _context(p, n, t, c),
-            max_degree=max_degree,
-            budget_seconds=budget_seconds,
-        )
-        series = computed_hilbert(gk)
-    except (BudgetExceeded, IncompleteSeriesError) as exc:
+    gk = compute_graded_kernel(
+        DunklContext.make(n=n, p=p, t=t, c=c), max_degree=max_degree, budget_seconds=budget_seconds
+    )
+    record.dims = {str(d): list(v) for d, v in gk.dims().items()}
+    if not gk.completed:
         record.status = "exceeded_cap"
-        if isinstance(exc, BudgetExceeded):
-            record.dims = {str(d): list(v) for d, v in exc.partial_dims.items()}
-            notes.append(str(exc))
-        else:
-            record.dims = {str(d): list(v) for d, v in gk.dims().items()}
+        stop = max(gk.degrees) + 1  # the degree the run did not start
+        if max_degree is not None and stop > max_degree:
             notes.append(f"stopped at --max-degree {max_degree}, before the first zero of dim L")
+        else:
+            notes.append(f"kernel run exceeded {budget_seconds}s at degree {stop}")
         record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
         return record, None
+    series = computed_hilbert(gk)
     record.series = series.to_json()
-    record.dims = {str(d): list(v) for d, v in gk.dims().items()}
     record.timing["per_degree"] = [
         {"degree": d, "M": dd.dim_m, "L": dd.dim_l, "points": dd.points, "seconds": round(dd.seconds, 4)}
         for d, dd in sorted(gk.degrees.items()) if d
@@ -170,31 +151,28 @@ def _print_record(record: RunRecord) -> None:
             )
 
 
-def _note_fast_eval(args) -> None:
-    if args.fast_eval:
-        _eprint(
-            "note: --fast-eval is retired and does nothing; this run takes the "
-            "certified generic-c path, whose certificate costs under 1% of a run"
-        )
+def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, lookup=True):
+    """(RunRecord, kernel or None): a cache hit, noted as one, else a run.
+
+    Only a complete run is stored: lookups see no cap or budget.
+    """
+    record = cache.lookup(RunRecord.make_key(p, n, t, c)) if lookup else None
+    if record is not None:
+        record.notes = list(record.notes) + ["cache hit"]
+        return record, None
+    record, gk = _run_cell(p, n, t, c, max_degree, budget_seconds)
+    if gk is not None:
+        cache.store(record)
+    return record, gk
 
 
 def cmd_hilbert(args) -> int:
     c = _default_c(args.t, args.c)
-    _note_fast_eval(args)
     cache = RunCache(args.cache_dir)
-    key = RunRecord.make_key(args.p, args.n, args.t, c)
-    record = gk = None
-    if not args.no_cache:
-        record = cache.lookup(key)
-        if record is not None:
-            record.notes = list(record.notes) + ["cache hit"]
-    if record is None:
-        record, gk = _cell_and_kernel(args.p, args.n, args.t, c, args.max_degree)
-        if record.status == "ok":  # lookups see no --max-degree: keep capped runs out
-            cache.store(record)
+    record, gk = _cached_cell(cache, args.p, args.n, args.t, c, args.max_degree, lookup=not args.no_cache)
     if args.dump_kernel and record.status == "ok":
-        if gk is None:  # a cache hit: the record was stored without its kernel
-            gk = compute_graded_kernel(_context(args.p, args.n, args.t, c), max_degree=args.max_degree)
+        if gk is None:  # a cache hit: rerun to the first zero, as the stored record did
+            gk = compute_graded_kernel(DunklContext.make(n=args.n, p=args.p, t=args.t, c=c))
         Path(args.dump_kernel).write_text(
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
         )
@@ -260,7 +238,7 @@ def cmd_check(args) -> int:
             return EXIT_OK
         t = args.t if args.t is not None else 0
         c = _default_c(t, args.c)
-        ctx = _context(args.p, args.n, t, c)
+        ctx = DunklContext.make(n=args.n, p=args.p, t=t, c=c)
         f = parse_poly(args.poly, ctx.nvars, ctx.domain)
         if args.what == "singular":
             res = is_singular(f, ctx)
@@ -305,30 +283,15 @@ def cmd_sweep(args) -> int:
     ns = [int(x) for x in args.n_list.split(",") if x.strip()] if args.n_list else []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _note_fast_eval(args)
     cache = RunCache(args.cache_dir)
     rows = []
     c = _default_c(args.t, args.c)
     for p in ps:
         for n in ns:
-            key = RunRecord.make_key(p, n, args.t, c)
-            record = cache.lookup(key)
-            if record is None:
-                try:
-                    record = _run_cell(
-                        p,
-                        n,
-                        args.t,
-                        c,
-                        args.max_degree,
-                        budget_seconds=args.budget_seconds,
-                    )
-                except Exception as exc:  # record the failure, keep sweeping
-                    record = RunRecord(
-                        key=key, status="error", notes=[repr(exc)]
-                    )
-                if record.status == "ok":  # lookups see no cap or budget
-                    cache.store(record)
+            try:
+                record = _cached_cell(cache, p, n, args.t, c, args.max_degree, args.budget_seconds)[0]
+            except Exception as exc:  # record the failure, keep sweeping
+                record = RunRecord(key=RunRecord.make_key(p, n, args.t, c), status="error", notes=[repr(exc)])
             cell_path = out_dir / f"run_p{p}_n{n}_t{args.t}.json"
             cell_path.write_text(
                 json.dumps(record.to_json(), sort_keys=True, indent=1)
@@ -511,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--t", type=int, required=True, choices=(0, 1))
     h.add_argument("--c", type=str, default=None, help="'generic' or a residue mod p")
     h.add_argument("--max-degree", type=int, default=None)
-    h.add_argument("--fast-eval", action="store_true", help="retired: a no-op")
     h.add_argument("--no-cache", action="store_true")
     h.add_argument("--cache-dir", type=str, default=None)
     h.add_argument("--dump-kernel", type=str, default=None)
@@ -535,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
     sw.add_argument("--max-degree", type=int, default=None)
-    sw.add_argument("--fast-eval", action="store_true", help="retired: a no-op")
     sw.add_argument("--budget-seconds", type=float, default=None)
     sw.add_argument("--cache-dir", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .fields import CoeffDomain, PrimeField, RationalFunctionField
 from .poly import Monomial, ReducedPoly, random_homogeneous
-from .action import Transposition, _neg_sum_power_mod, apply_transposition
+from .action import Transposition, _neg_sum_power_mod, apply_transposition, reduced_variable
 
 log = logging.getLogger(__name__)
 
@@ -413,15 +413,6 @@ class CommutatorReport:
         return not self.failures
 
 
-def _reduced_variable(ctx: DunklContext, a: int) -> ReducedPoly:
-    """x_a as a reduced polynomial; a = n expands to -(x_1+...+x_{n-1})."""
-    from .action import neg_sum_power
-
-    if a < ctx.n:
-        return ReducedPoly.variable(ctx.domain, ctx.nvars, a)
-    return neg_sum_power(ctx.domain, ctx.nvars, 1)
-
-
 def commutator_rhs(
     f: ReducedPoly, i: int, j: int, a: int, ctx: DunklContext
 ) -> ReducedPoly:
@@ -474,7 +465,7 @@ def check_commutators(
         for i in range(1, ctx.n + 1):
             for j in range(i + 1, ctx.n + 1):
                 for a in range(1, ctx.n + 1):
-                    xa = _reduced_variable(ctx, a)
+                    xa = reduced_variable(ctx, a)
                     lhs = dd(xa.mul(f), i, j, ctx).sub(xa.mul(dd(f, i, j, ctx)))
                     rhs = commutator_rhs(f, i, j, a, ctx)
                     checked += 1

@@ -32,21 +32,8 @@ from .dunkl import DunklContext, dunkl_z, dunkl_z_raw, lift_raw, reduce_raw
 from . import linalg
 
 
-class IncompleteKernelError(RuntimeError):
-    """Raised when a result needs a completed kernel; carries partial dims."""
-
-    def __init__(self, message, partial_dims):
-        super().__init__(message)
-        self.partial_dims = partial_dims
-
-
 class ResourceLimitError(RuntimeError):
     pass
-
-
-class BudgetExceeded(IncompleteKernelError):
-    """Wall-clock budget for a kernel run was exhausted; carries the dims of
-    the degrees finished before it."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +110,6 @@ class GradedKernel:
     def __init__(self, ctx: DunklContext):
         self.ctx = ctx
         self.adapter = linalg.RingAdapter(ctx.domain)
-        self.completed = False
         self.first_zero_degree: int | None = None
         zero_data = DegreeData(
             degree=0,
@@ -134,6 +120,11 @@ class GradedKernel:
             constraint_rows=[[self.adapter.one]],
         )
         self.degrees: dict[int, DegreeData] = {0: zero_data}
+
+    @property
+    def completed(self) -> bool:
+        """True once the run has reached the first degree with dim L = 0."""
+        return self.first_zero_degree is not None
 
     # -- core computation -----------------------------------------------------
 
@@ -258,7 +249,9 @@ def compute_graded_kernel(
 
     L = k[x]/ker B is generated by 1 in degree 0, so L[d] = 0 forces L[e] = 0
     for every e >= d.  The default hard cap is the baby-Verma support bound
-    (never below n + 10), past which dim L provably vanishes.
+    (never below n + 10), past which dim L provably vanishes.  A run stopped
+    by ``max_degree`` or by ``budget_seconds`` (checked before each degree)
+    returns the degrees it finished, with ``completed`` False.
     """
     cap = (
         max_degree
@@ -269,12 +262,9 @@ def compute_graded_kernel(
     start = time.monotonic()
     for d in range(1, cap + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            raise BudgetExceeded(
-                f"kernel run exceeded {budget_seconds}s at degree {d}", gk.dims()
-            )
+            break
         if gk.compute_degree(d).dim_l == 0:
             gk.first_zero_degree = d
-            gk.completed = True
             break
     return gk
 
@@ -309,20 +299,11 @@ def _multiset_children(a: tuple[int, ...], nv: int):
 
 
 def _pairings(f: ReducedPoly, d: int, ctx: DunklContext):
-    """All pairings B(a, f) for |a| = d, via a zero-pruned multiset tree."""
-    nv = ctx.nvars
-    level = {(0,) * nv: f}
-    for _ in range(d):
-        nxt: dict[tuple[int, ...], ReducedPoly] = {}
-        for a, g in level.items():
-            for j, child in _multiset_children(a, nv):
-                if child in nxt:
-                    continue
-                img = dunkl_z(g, j, ctx)
-                if not img.is_zero():
-                    nxt[child] = img
-        level = nxt
-    return {a: g.constant_term() for a, g in level.items()}
+    """All pairings B(a, f) for |a| = d, via a zero-pruned multiset tree
+    (``_tree_search`` with every slot in a symmetry class of its own)."""
+    nv, singletons = ctx.nvars, [[i] for i in range(1, ctx.nvars + 1)]
+    leaves = _tree_search({(0,) * nv: f}, lambda g, j: dunkl_z(g, j, ctx), nv, d, singletons, ReducedPoly.is_zero)
+    return {a: g.constant_term() for a, g in leaves.items()}
 
 
 def gram_rows(d: int, ctx: DunklContext) -> list[list]:

@@ -277,8 +277,8 @@ def kernel_from_rref(
     stands, as its other entries sit at right pivots, all to the right of f.
     Over F_p(c) the modular route reduces the rows, so the kernel is certified.
     """
-    if not rref_rows:
-        return identity_kernel(domain, ncols)
+    if not rref_rows:  # no constraints: the kernel is the full space
+        return natural_kernel(domain, [], [], ncols), list(range(ncols))
     top = ncols - 1
     flipped = [{top - c: v for c, v in row.items()} for row in rref_rows]
     if isinstance(domain, RationalFunctionField):
@@ -304,12 +304,6 @@ def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, ncols: int) -> li
                 v[pc] = domain.neg(coef)
         vectors.append(v)
     return vectors
-
-
-def identity_kernel(domain: CoeffDomain, ncols: int):
-    """Kernel basis when there are no constraints: the full space."""
-    one = domain.from_int(1)
-    return [{c: one} for c in range(ncols)], list(range(ncols))
 
 
 def reduce_by_rref(

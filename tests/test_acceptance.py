@@ -243,7 +243,7 @@ def test_criterion_8_conjecture_variant_report():
     start = time.monotonic()
     reports = []
     for p, n in [(3, 4), (2, 4)]:
-        record = _run_cell(p, n, 1, "generic", None, budget_seconds=900)
+        record = _run_cell(p, n, 1, "generic", None, budget_seconds=900)[0]
         assert record.status in ("ok", "exceeded_cap"), record.status
         if record.status == "exceeded_cap":
             reports.append(f"p={p} n={n}: exceeded cap (skipped)")

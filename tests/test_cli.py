@@ -94,7 +94,7 @@ def test_hilbert_c0_conjecture_not_applicable(tmp_path):
 
 
 def test_t1_record_reports_per_degree_timing():
-    rec = _run_cell(2, 5, 1, "generic", None).to_json()
+    rec = _run_cell(2, 5, 1, "generic", None)[0].to_json()
     per_degree = rec["timing"]["per_degree"]
     # the run ends at the first zero of L, degree 11
     assert [row["degree"] for row in per_degree] == list(range(1, 12))
@@ -171,7 +171,7 @@ def test_budget_stop_records_the_finished_degrees(monkeypatch):
     monkeypatch.setattr(
         kernel, "time", SimpleNamespace(monotonic=lambda: next(ticks), perf_counter=time.perf_counter)
     )
-    rec = _run_cell(2, 5, 1, "generic", None, budget_seconds=2.5)
+    rec = _run_cell(2, 5, 1, "generic", None, budget_seconds=2.5)[0]
     assert rec.status == "exceeded_cap"
     assert "at degree 3" in rec.notes[-1]
     gk = kernel.GradedKernel(DunklContext.make(n=5, p=2, t=1))
@@ -208,18 +208,6 @@ def test_sweep_caches_only_complete_cells(tmp_path, stop):
     assert not (tmp_path / "cache" / "runs.jsonl").exists()
     assert run_cli(args, tmp_path).returncode == 0
     assert json.loads(cell.read_text())["status"] == "ok"
-
-
-def test_fast_eval_agrees_with_exact(tmp_path):
-    # --fast-eval is a retired no-op: a note on stderr, then the certified run
-    args = ["hilbert", "--p", "2", "--n", "3", "--t", "1", "--no-cache"]
-    exact = run_cli(args, tmp_path)
-    fast = run_cli(args + ["--fast-eval"], tmp_path)
-    assert fast.returncode == exact.returncode == 0
-    assert strip_timing(record_of(fast)) == strip_timing(record_of(exact))
-    assert record_of(fast)["key"]["c_mode"] == "generic"
-    assert "--fast-eval is retired" in fast.stderr
-    assert "--fast-eval" not in exact.stderr
 
 
 def test_check_singular(tmp_path):
@@ -377,6 +365,20 @@ def test_dump_kernel_computes_the_kernel_once(tmp_path, monkeypatch, capsys):
     hilbert("hit.json")
     assert len(calls) == 2
     assert (tmp_path / "miss.json").read_bytes() == (tmp_path / "hit.json").read_bytes()
+
+
+def test_dump_kernel_on_a_cache_hit_matches_the_record(tmp_path):
+    # p=2, n=3, t=1 reaches dim L = 0 at degree 9; a capped run served from
+    # the cache prints the complete record, so it dumps the kernel to degree 9
+    args = ["hilbert", "--p", "2", "--n", "3", "--t", "1"]
+    assert run_cli(args, tmp_path).returncode == 0
+    target = tmp_path / "kernel.json"
+    rec = record_of(run_cli(args + ["--max-degree", "3", "--dump-kernel", str(target)], tmp_path))
+    assert rec["notes"][-1] == "cache hit"
+    dumped = json.loads(target.read_text())["degrees"]
+    assert {d: [v["dim_m"], v["dim_kernel"], v["dim_l"]] for d, v in dumped.items()} == rec["dims"]
+    assert sorted(map(int, dumped)) == list(range(10))
+
 
 @pytest.mark.slow
 def test_selftest_passes(tmp_path):

@@ -1,5 +1,10 @@
+import itertools
+import time
+from types import SimpleNamespace
+
 import pytest
 
+from cherednik import kernel
 from cherednik.dunkl import DunklContext
 from cherednik.kernel import compute_graded_kernel
 from cherednik.series import (
@@ -90,6 +95,21 @@ def test_computed_hilbert_incomplete_raises():
     with pytest.raises(IncompleteSeriesError) as exc:
         computed_hilbert(gk)
     assert exc.value.partial_dims
+
+
+def test_budget_stop_returns_the_unfinished_kernel(monkeypatch):
+    # a kernel clock that moves one second per reading: a 2.5 s budget runs
+    # out at the check before degree 3, once degrees 1 and 2 are finished
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        kernel, "time", SimpleNamespace(monotonic=lambda: next(ticks), perf_counter=time.perf_counter)
+    )
+    gk = compute_graded_kernel(DunklContext.make(n=5, p=2, t=1), budget_seconds=2.5)
+    assert gk.completed is False
+    assert sorted(gk.dims()) == [0, 1, 2]
+    with pytest.raises(IncompleteSeriesError) as exc:
+        computed_hilbert(gk)
+    assert exc.value.partial_dims == {d: v[2] for d, v in gk.dims().items()}
 
 
 def test_shape_check_examples():
