@@ -151,17 +151,18 @@ def _print_record(record: RunRecord) -> None:
             )
 
 
-def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, lookup=True):
+def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, use_cache=True):
     """(RunRecord, kernel or None): a cache hit, noted as one, else a run.
 
-    Only a complete run is stored: lookups see no cap or budget.
+    Only a complete run is stored: lookups see no cap or budget.  With
+    use_cache False the cache is neither read nor written.
     """
-    record = cache.lookup(RunRecord.make_key(p, n, t, c)) if lookup else None
+    record = cache.lookup(RunRecord.make_key(p, n, t, c)) if use_cache else None
     if record is not None:
         record.notes = list(record.notes) + ["cache hit"]
         return record, None
     record, gk = _run_cell(p, n, t, c, max_degree, budget_seconds)
-    if gk is not None:
+    if use_cache and gk is not None:
         cache.store(record)
     return record, gk
 
@@ -169,7 +170,7 @@ def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, lookup=True
 def cmd_hilbert(args) -> int:
     c = _default_c(args.t, args.c)
     cache = RunCache(args.cache_dir)
-    record, gk = _cached_cell(cache, args.p, args.n, args.t, c, args.max_degree, lookup=not args.no_cache)
+    record, gk = _cached_cell(cache, args.p, args.n, args.t, c, args.max_degree, use_cache=not args.no_cache)
     if args.dump_kernel and record.status == "ok":
         if gk is None:  # a cache hit: rerun to the first zero, as the stored record did
             gk = compute_graded_kernel(DunklContext.make(n=args.n, p=args.p, t=args.t, c=c))
@@ -497,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
     sw.add_argument("--max-degree", type=int, default=None)
-    sw.add_argument("--budget-seconds", type=float, default=None)
+    sw.add_argument("--budget-seconds", type=float, default=None,
+                    help="checked before each degree, so one degree can run past it")
     sw.add_argument("--cache-dir", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)
 

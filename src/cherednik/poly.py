@@ -167,9 +167,14 @@ class ReducedPoly:
         )
 
     def pow(self, e: int) -> "ReducedPoly":
-        result = ReducedPoly.constant(self.domain, self.nvars, 1)
-        for _ in range(e):
-            result = result.mul(self)
+        """self^e by repeated squaring, so a parsed x1^e costs O(log e)."""
+        result, base = ReducedPoly.constant(self.domain, self.nvars, 1), self
+        while e:
+            if e & 1:
+                result = result.mul(base)
+            e >>= 1
+            if e:
+                base = base.mul(base)
         return result
 
     def __eq__(self, other):
@@ -236,12 +241,10 @@ def c_components(f: ReducedPoly) -> list[ReducedPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Text format: terms joined by +/-, coefficient "(...)" in c or an integer,
-# monomials like x1^2*x2.  Canonical output is graded-lex descending.
+# Text format: format_poly joins terms by '+' in graded-lex descending order,
+# each a coefficient (in parentheses once it has c, a sign or a fraction)
+# times a monomial like x1^2*x2; parse_poly reads any expression of its grammar.
 # ---------------------------------------------------------------------------
-
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-
 
 def _fmt_term(domain, m: Monomial, v) -> str:
     vars_part = "*".join(
@@ -268,172 +271,97 @@ def format_poly(f: ReducedPoly) -> str:
     return "+".join(_fmt_term(f.domain, m, v) for m, v in f.sorted_terms())
 
 
-class _CoeffParser:
-    """Recursive-descent parser for coefficient expressions in c."""
+_TOKEN_RE = re.compile(r"x\d+|\d+|[cw()+\-*/^]")
 
-    def __init__(self, text: str, domain: CoeffDomain):
-        self.toks = re.findall(r"\d+|[cw]|\^|[()+\-*/]", text.replace(" ", ""))
-        if "".join(self.toks) != text.replace(" ", ""):
-            raise ParseError(f"malformed coefficient {text!r}")
-        self.pos = 0
-        self.domain = domain
 
-    def peek(self):
+def parse_poly(text: str, nvars: int, domain: CoeffDomain) -> ReducedPoly:
+    """Parse polynomial text into a ReducedPoly with nvars = n-1 slots.
+
+    Spaces are ignored and U+2212 reads as '-'.  The grammar is
+
+        expr   = term (('+' | '-') term)*
+        term   = factor (('*' | '/') factor)*
+        factor = ('+' | '-') factor | atom ('^' digits)*
+        atom   = integer | 'c' | 'w' | 'x1' .. 'x<nvars>' | '(' expr ')'
+
+    so a sign binds looser than '^' (-x1^2 is -(x1^2)) and tighter than
+    '*' (x1*-1 is -x1), and a^b^e is (a^b)^e.  'c' and 'w' both name the
+    deformation parameter.  A divisor must be a nonzero constant.
+    """
+    s = text.replace(" ", "").replace("−", "-")
+    toks = _TOKEN_RE.findall(s)
+    if "".join(toks) != s:
+        raise ParseError(f"unexpected character in {text!r}")
+    parser = _Parser(toks, nvars, domain)
+    f = parser.expr()
+    if parser.peek() is not None:
+        raise ParseError(f"unexpected {parser.peek()!r} in {text!r}")
+    return f
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text, evaluating as it goes."""
+
+    def __init__(self, toks: list[str], nvars: int, domain: CoeffDomain):
+        self.toks, self.pos, self.nvars, self.domain = toks, 0, nvars, domain
+
+    def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self):
+    def take(self) -> str | None:
         t = self.peek()
         self.pos += 1
         return t
 
-    def parse(self):
-        v = self.expr()
-        if self.peek() is not None:
-            raise ParseError("trailing tokens in coefficient")
-        return v
-
-    def expr(self):
-        dom = self.domain
-        sign = 1
+    def expr(self) -> ReducedPoly:
+        f = self.term()
         while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        v = self.term()
-        if sign < 0:
-            v = dom.neg(v)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            v = dom.add(v, rhs) if op == "+" else dom.sub(v, rhs)
-        return v
+            f = f.add(self.term()) if self.take() == "+" else f.sub(self.term())
+        return f
 
-    def term(self):
-        dom = self.domain
-        v = self.factor()
+    def term(self) -> ReducedPoly:
+        f = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                v = dom.mul(v, rhs)
-            else:
-                if dom.is_zero(rhs):
-                    raise ZeroDivisionError("division by zero in coefficient")
-                v = dom.div(v, rhs)
-        return v
+            f = f.mul(self.factor()) if self.take() == "*" else self.divide(f, self.factor())
+        return f
 
-    def factor(self):
-        dom = self.domain
-        t = self.take()
-        if t == "(":
-            v = self.expr()
-            if self.take() != ")":
-                raise ParseError("unbalanced parentheses in coefficient")
-        elif t in ("c", "w"):
-            v = dom.c_scalar()
-        elif t is not None and t.isdigit():
-            v = dom.from_int(int(t))
-        elif t == "-":
-            v = dom.neg(self.factor())
-        else:
-            raise ParseError(f"unexpected token {t!r} in coefficient")
+    def divide(self, f: ReducedPoly, g: ReducedPoly) -> ReducedPoly:
+        const = (0,) * self.nvars
+        if g.terms.keys() != {const}:
+            raise ParseError("division by zero" if g.is_zero() else "a divisor must be a constant")
+        return f.scalar_mul(self.domain.inv(g.terms[const]))
+
+    def factor(self) -> ReducedPoly:
+        if self.peek() in ("+", "-"):
+            return self.factor() if self.take() == "+" else self.factor().neg()
+        f = self.atom()
         while self.peek() == "^":
             self.take()
             e = self.take()
             if e is None or not e.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            base, v = v, dom.one
-            for _ in range(int(e)):
-                v = dom.mul(v, base)
-        return v
+            f = f.pow(int(e))
+        return f
 
-
-def parse_poly(text: str, nvars: int, domain: CoeffDomain) -> ReducedPoly:
-    """Parse polynomial text into a ReducedPoly with nvars = n-1 slots."""
-    s = text.replace(" ", "").replace("−", "-")
-    if not s:
-        raise ParseError("empty polynomial text")
-    out = ReducedPoly.zero(domain, nvars)
-    # split into signed terms at top level (outside parentheses)
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
+    def atom(self) -> ReducedPoly:
+        t, nvars, dom = self.take(), self.nvars, self.domain
+        if t is None:
+            raise ParseError("unexpected end of text")
+        if t == "(":
+            f = self.expr()
+            if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
-        if ch in "+-" and depth == 0 and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and depth == 0 and not cur:
-            if ch == "-":
-                sign = -sign
-        else:
-            cur += ch
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    if cur:
-        terms.append((sign, cur))
-    if not terms:
-        raise ParseError("no terms found")
-    for sgn, term in terms:
-        out = out.add(_parse_term(term, sgn, nvars, domain))
-    return out
-
-
-def _parse_term(term: str, sign: int, nvars: int, domain: CoeffDomain) -> ReducedPoly:
-    coeff = domain.one
-    factors = _split_factors(term)
-    exps = [0] * nvars
-    saw_var = False
-    for fac in factors:
-        if fac.startswith("x"):
-            m = _VAR_RE.match(fac)
-            if not m:
-                raise ParseError(f"malformed variable {fac!r}")
-            idx = int(m.group(1))
-            if idx < 1 or idx > nvars:
-                raise ParseError(
-                    f"variable index {idx} out of range 1..{nvars}"
-                )
-            exps[idx - 1] += int(m.group(2) or 1)
-            saw_var = True
-        else:
-            inner = fac[1:-1] if fac.startswith("(") and fac.endswith(")") else fac
-            coeff = domain.mul(coeff, _CoeffParser(inner, domain).parse())
-    if sign < 0:
-        coeff = domain.neg(coeff)
-    if domain.is_zero(coeff):
-        return ReducedPoly.zero(domain, nvars)
-    if not saw_var and not factors:
-        raise ParseError("empty term")
-    return ReducedPoly(domain, nvars, {tuple(exps): coeff})
-
-
-def _split_factors(term: str) -> list[str]:
-    factors = []
-    depth = 0
-    cur = ""
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            if cur:
-                factors.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur:
-        factors.append(cur)
-    if not factors:
-        raise ParseError(f"empty term in {term!r}")
-    return factors
+            return f
+        if t in ("c", "w"):
+            return ReducedPoly.constant(dom, nvars, 1).scalar_mul(dom.c_scalar())
+        if t.isdigit():
+            return ReducedPoly.constant(dom, nvars, int(t))
+        if t[0] == "x":
+            i = int(t[1:])
+            if not 1 <= i <= nvars:
+                raise ParseError(f"variable index {i} out of range 1..{nvars}")
+            return ReducedPoly.variable(dom, nvars, i)
+        raise ParseError(f"unexpected {t!r}")
 
 
 def random_homogeneous(
@@ -442,16 +370,15 @@ def random_homogeneous(
     degree: int,
     rng: random.Random,
     max_terms: int = 4,
-    c_degree: int = 1,
 ) -> ReducedPoly:
-    """Random homogeneous polynomial for property tests (may be zero)."""
+    """Random homogeneous polynomial for property tests (may be zero); over
+    generic c its coefficients have degree at most 1 in c."""
     monos = monomials_of_degree(nvars, degree)
     terms: dict[Monomial, object] = {}
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(monos)
         if isinstance(domain, RationalFunctionField):
-            coeffs = [rng.randrange(domain.p) for _ in range(c_degree + 1)]
-            v = domain.from_c_poly(coeffs)
+            v = domain.from_c_poly([rng.randrange(domain.p) for _ in range(2)])
         else:
             v = domain.from_int(rng.randrange(domain.p))
         if m in terms:

@@ -274,6 +274,27 @@ def test_check_parse_failure_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_check_division_by_zero_exit_2(tmp_path):
+    proc = run_cli(
+        ["check", "kernel", "--poly", "(1/0)*x1", "--p", "2", "--n", "3", "--t", "0"],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "division by zero" in proc.stderr
+
+
+def test_no_cache_neither_reads_nor_writes(tmp_path):
+    args = ["hilbert", "--p", "2", "--n", "3", "--t", "0", "--cache-dir", str(tmp_path / "d")]
+    assert run_cli(args, tmp_path).returncode == 0
+    runs = tmp_path / "d" / "runs.jsonl"
+    stored = runs.read_text()
+    for _ in range(2):
+        proc = run_cli(args + ["--no-cache"], tmp_path)
+        assert proc.returncode == 0
+        assert "cache hit" not in record_of(proc)["notes"]
+    assert runs.read_text() == stored
+
+
 def test_usage_error_exit_2(tmp_path):
     proc = run_cli(["hilbert", "--p", "2"], tmp_path)
     assert proc.returncode == 2

@@ -87,6 +87,53 @@ def test_parse_malformed_coefficient(f2):
         parse_poly("(c+)*x1", 3, CoeffDomain.generic(2))
 
 
+F3, F3C = CoeffDomain.prime(3), CoeffDomain.generic(3)
+
+
+@pytest.mark.parametrize(
+    "text,domain,expected",
+    [
+        # coefficients, powers and signs
+        ("(1/(c+1))*x1", F3C, "((1)/(c+1))*x1"),
+        ("-(c)*x1", F3C, "(2*c)*x1"),
+        ("c^2^2*x1", F3C, "(c^4)*x1"),
+        ("x1^0", F3C, "1"),
+        ("0*x1", F3C, "0"),
+        ("x1--x2", F3C, "x1+x2"),
+        # a sign after '*' negates its factor, not the rest of the text
+        ("x1*-1", F3, "2*x1"),
+        ("2*-c*x1", F3C, "(c)*x1"),
+        # ordinary expressions
+        ("(x1+x2)*x3", F3C, "x1*x3+x2*x3"),
+        ("(x1+x2)^3", F3, "x1^3+x2^3"),
+        ("x1/2", F3, "2*x1"),
+        # malformed
+        ("x1+", F3C, ParseError),
+        ("x1-", F3C, ParseError),
+        ("x1*", F3C, ParseError),
+        ("*x1", F3C, ParseError),
+        ("x1**x2", F3C, ParseError),
+        ("x1^", F3C, ParseError),
+        ("()", F3C, ParseError),
+        ("x1x2", F3C, ParseError),
+        ("2x1", F3C, ParseError),
+        ("x1(c)", F3C, ParseError),
+        ("(2)(3)*x1", F3C, ParseError),
+        ("x1/x2", F3C, ParseError),
+        ("(1/0)*x1", F3C, ParseError),
+        ("", F3C, ParseError),
+        ("x0", F3C, ParseError),
+        ("x4", F3C, ParseError),
+    ],
+)
+def test_parse_table(text, domain, expected):
+    if expected is ParseError:
+        with pytest.raises(ParseError):
+            parse_poly(text, 3, domain)
+    else:
+        assert format_poly(parse_poly(text, 3, domain)) == expected
+
+
 def test_monomial_order_graded_lex_descending():
     monos = monomials_of_degree(3, 2)
     assert monos[0] == (2, 0, 0)

@@ -95,6 +95,11 @@ def test_text_formats_over_the_instance_characteristic():
     assert inst("(c+1)*x1^2*x2+x1*x2^2").text() == "(c+1)*x1^2*x2+x1*x2^2"
 
 
+def test_a_sign_after_star_stays_in_its_term():
+    # at p = 2 the sign is -1 = 1; x1^4+x2^4, which a split at the '-' gives, is not stable
+    assert StabilityInstance.from_text("x1^4*-x2^4") == StabilityInstance.from_text("x1^4*x2^4")
+
+
 def test_triple_application_residual_every_admissible_n():
     # the rejection certificate: (D_{y1-y2})^3 x1^5 x2 = c (x1 x2^2 + x2^3)
     for n in (3, 5, 7):
