@@ -65,16 +65,10 @@ def reduced_variable(ctx, i: int) -> ReducedPoly:
 
 
 def substitute_variable(f: ReducedPoly, i: int) -> ReducedPoly:
-    """Replace x_i by -(x_1 + ... + x_{n-1}) and re-expand."""
-    dom = f.domain
-    nv = f.nvars
-    out = ReducedPoly.zero(dom, nv)
-    for m, v in f.terms.items():
-        e = m[i - 1]
-        rest = m[: i - 1] + (0,) + m[i:]
-        piece = neg_sum_power(dom, nv, e).monomial_mul(rest).scalar_mul(v)
-        out = out.add(piece)
-    return out
+    """Replace x_i by -(x_1 + ... + x_{n-1}) and re-expand: move the
+    exponent of slot i to a new last slot and reduce that slot."""
+    moved = {m[: i - 1] + (0,) + m[i:] + (m[i - 1],): v for m, v in f.terms.items()}
+    return reduce_last(ReducedPoly(f.domain, f.nvars + 1, moved))
 
 
 def apply_transposition(f: ReducedPoly, s: Transposition, n: int) -> ReducedPoly:

@@ -169,11 +169,16 @@ def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, use_cache=T
 
 def cmd_hilbert(args) -> int:
     c = _default_c(args.t, args.c)
+    try:
+        ctx = DunklContext.make(n=args.n, p=args.p, t=args.t, c=c)
+    except ValueError as exc:
+        _eprint(f"error: {exc}")
+        return EXIT_USAGE
     cache = RunCache(args.cache_dir)
     record, gk = _cached_cell(cache, args.p, args.n, args.t, c, args.max_degree, use_cache=not args.no_cache)
     if args.dump_kernel and record.status == "ok":
         if gk is None:  # a cache hit: rerun to the first zero, as the stored record did
-            gk = compute_graded_kernel(DunklContext.make(n=args.n, p=args.p, t=args.t, c=c))
+            gk = compute_graded_kernel(ctx)
         Path(args.dump_kernel).write_text(
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
         )

@@ -8,8 +8,8 @@ ring coefficients (ints for F_p, numerators for F_p(c)) and the context's
 own c.  Each monomial is one int key holding its n exponents in fixed-width
 slots (``Packed``), so a shift of exponents is an int addition.  ``dunkl_z``
 lifts a reduced representative to n slots, runs the core and reduces slot n
-through x_n = -(x_1 + ... + x_{n-1}); membership trees stay upstairs and
-reduce only their leaves.  ``dunkl`` applies the single
+through x_n = -(x_1 + ... + x_{n-1}); the membership walk stays upstairs and
+reduces only its leaves.  ``dunkl`` applies the single
 operator D_{y_i} through divided differences and is kept as the independent
 oracle for the core.
 """

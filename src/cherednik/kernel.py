@@ -14,10 +14,13 @@ An independent oracle builds the full Gram matrix by a degree recursion on
 its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it;
 it builds every slot's D_j directly.
 
-Membership of a single polynomial is decided without any matrices by walking
-the tree of iterated Dunkl images, pruning zero branches, deduplicating
-commuting operator products (multisets), and quotienting by the stabilizer
-of the polynomial among slot permutations.
+Membership of a single polynomial is decided without any matrices by one
+walk over iterated Dunkl images.  The operators commute, so the walk runs
+over multisets of operator slots, up to the stabilizer of the polynomial
+among slot permutations.  It stays upstairs on packed raw n-slot terms,
+prunes empty images, and stops ``tail`` operators short of the degree:
+tail 0 on the ``direct`` route, whose leaves are constants, and tail 3 on
+the ``cutoff`` route.  Only the leaves are reduced.
 """
 
 from __future__ import annotations
@@ -299,11 +302,10 @@ def _multiset_children(a: tuple[int, ...], nv: int):
 
 
 def _pairings(f: ReducedPoly, d: int, ctx: DunklContext):
-    """All pairings B(a, f) for |a| = d, via a zero-pruned multiset tree
-    (``_tree_search`` with every slot in a symmetry class of its own)."""
-    nv, singletons = ctx.nvars, [[i] for i in range(1, ctx.nvars + 1)]
-    leaves = _tree_search({(0,) * nv: f}, lambda g, j: dunkl_z(g, j, ctx), nv, d, singletons, ReducedPoly.is_zero)
-    return {a: g.constant_term() for a, g in leaves.items()}
+    """All pairings B(a, f) for |a| = d: the constants at the leaves of
+    ``_walk`` with every slot in a symmetry class of its own."""
+    leaves = _walk(f, d, [[i] for i in range(1, ctx.nvars + 1)], ctx)
+    return {a: reduce_raw(g, ctx).constant_term() for a, g in leaves.items()}
 
 
 def gram_rows(d: int, ctx: DunklContext) -> list[list]:
@@ -411,32 +413,34 @@ def _canonical(a: tuple[int, ...], classes: list[list[int]]) -> bool:
     return True
 
 
-def _canonical_children(a: tuple[int, ...], nv: int, classes):
-    for j, child in _multiset_children(a, nv):
-        if _canonical(child, classes):
-            yield j, child
+def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext) -> dict:
+    """The upstairs images D^a f for the canonical multisets |a| = depth.
 
-
-def _tree_search(start_polys, apply_op, nv, depth, classes, is_zero):
-    """Walk canonical multisets to the given depth; yield the final level."""
-    level = start_polys
+    Each multiset has one parent (drop one from its last nonzero slot), and
+    that parent is canonical too.  The images stay packed raw n-slot terms;
+    a branch is pruned when its raw image is empty.
+    """
+    nv = ctx.nvars
+    level = {(0,) * nv: lift_raw(f)}
     for _ in range(depth):
         nxt = {}
         for a, g in level.items():
-            for j, child in _canonical_children(a, nv, classes):
-                if child in nxt:
-                    continue
-                img = apply_op(g, j)
-                if not is_zero(img):
+            for j, child in _multiset_children(a, nv):
+                if _canonical(child, classes) and (img := dunkl_z_raw(g, j, ctx)).groups:
                     nxt[child] = img
         level = nxt
-        if not level:
-            break
     return level
 
 
 def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -> Membership:
-    """Decide f in ker B, with a nonzero-pairing witness on failure."""
+    """Decide f in ker B, with a nonzero-pairing witness on failure.
+
+    The walk stops ``tail`` operators short of the degree and reduces each
+    leaf: ``direct`` walks all the way (tail 0, every leaf a constant);
+    ``cutoff`` stops at tail 3, enough in characteristic 2 at t=1, generic c
+    and odd n, where ker B[3] = 0, so a nonzero degree-3 leaf always has a
+    nonzero pairing.
+    """
     if f.is_zero():
         return Membership(True, method="trivial")
     d = f.degree()
@@ -452,55 +456,24 @@ def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -
             and ctx.n >= 7
         )
         method = "cutoff" if fast_ok else "direct"
-    classes = slot_symmetry_classes(f, ctx)
-    nv = ctx.nvars
-    if method == "direct":
-        start = {(0,) * nv: f}
-        leaves = _tree_search(
-            start,
-            lambda g, j: dunkl_z(g, j, ctx),
-            nv,
-            d,
-            classes,
-            lambda g: g.is_zero(),
-        )
-        for a in sorted(leaves):
-            val = leaves[a].constant_term()
-            if not ctx.domain.is_zero(val):
-                return Membership(False, a, Scalar(ctx.domain, val), "direct")
-        return Membership(True, method="direct")
-    if method != "cutoff":
+    tail = {"direct": 0, "cutoff": 3}.get(method)
+    if tail is None:
         raise ValueError(f"unknown membership method {method!r}")
-    # characteristic-2, t=1, generic c, odd n: ker B[3] = 0, so it is enough
-    # to drive every operator multiset of weight d-3 and test the reduced
-    # images; intermediate images stay unreduced (no x_n substitution), as
-    # the packed raw groups of the Dunkl core.
-    start = {(0,) * nv: lift_raw(f)}
-    depth = d - 3
-    leaves = _tree_search(
-        start,
-        lambda g, j: dunkl_z_raw(g, j, ctx),
-        nv,
-        depth,
-        classes,
-        lambda g: not g.groups,
-    )
+    leaves = _walk(f, d - tail, slot_symmetry_classes(f, ctx), ctx)
     for a in sorted(leaves):
-        reduced = reduce_raw(leaves[a], ctx)
-        if reduced.is_zero():
+        image = reduce_raw(leaves[a], ctx)
+        if image.is_zero():
             continue
-        # extend the witness with a weight-3 tail on the reduced image
-        tail = _pairings(reduced, 3, ctx)
-        for b in sorted(tail):
-            val = tail[b]
-            if not ctx.domain.is_zero(val):
+        pairs = _pairings(image, tail, ctx)
+        for b in sorted(pairs):
+            if not ctx.domain.is_zero(pairs[b]):
                 witness = tuple(x + y for x, y in zip(a, b))
-                return Membership(False, witness, Scalar(ctx.domain, val), "cutoff")
+                return Membership(False, witness, Scalar(ctx.domain, pairs[b]), method)
         raise AssertionError(
             "nonzero degree-3 image with no nonzero pairing; "
             "ker B[3] = 0 should make this impossible"
         )
-    return Membership(True, method="cutoff")
+    return Membership(True, method=method)
 
 
 def is_singular(f: ReducedPoly, ctx: DunklContext) -> bool:

@@ -173,7 +173,8 @@ def is_stably_in_kernel(
     if not certifying and not experimental:
         raise ValueError(
             "the stability criterion is proved only for p=2, t=1, generic c; "
-            "pass experimental=True to run a non-certifying sweep"
+            "pass experimental=True (--experimental on the command line) "
+            "to run a non-certifying sweep"
         )
     if not inst.terms:  # the zero template lies in ker B for every n
         return StabilityVerdict(

@@ -300,6 +300,27 @@ def test_usage_error_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("p, n, message", [("4", "3", "4 is not prime"), ("2", "1", "need n >= 2")])
+def test_hilbert_bad_cell_exit_2(tmp_path, p, n, message):
+    proc = run_cli(["hilbert", "--p", p, "--n", n, "--t", "0"], tmp_path)
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr
+    assert "internal error" not in proc.stderr
+
+
+def test_sweep_records_a_bad_cell_as_an_error_row(tmp_path):
+    argv = ["sweep", "--p-list", "4", "--n-list", "3", "--t", "0", "--out", str(tmp_path / "grid")]
+    assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+    with open(tmp_path / "grid" / "summary.csv") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["error"]
+
+
+def test_check_stable_outside_the_certified_regime_names_the_flag(tmp_path):
+    proc = run_cli(["check", "stable", "--poly", "x1^2", "--p", "3"], tmp_path)
+    assert proc.returncode == 2
+    assert "--experimental" in proc.stderr
+
+
 def test_sweep_and_resume(tmp_path):
     out_dir = tmp_path / "grid"
     args = [

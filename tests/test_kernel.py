@@ -198,16 +198,27 @@ def test_membership_examples():
 
 
 def test_membership_against_kernel_basis():
-    ctx = ctx_of(5, 2, 1)
-    gk = compute_graded_kernel(ctx)
+    # the walk's verdict against the engine's basis in every degree where both
+    # ker B and L are nonzero, and every witness against the reference pairing
     rng = random.Random(7)
-    for d in (4, 5):
-        basis = gk.basis_polys(d)
-        f = basis[rng.randrange(len(basis))]
-        assert is_in_kernel(f, ctx).member
-        g = random_homogeneous(ctx.domain, 4, d, rng, max_terms=3)
-        in_basis = gk.reduce_poly(g, d).is_zero()
-        assert is_in_kernel(g, ctx).member == in_basis
+    for p, n, t, max_degree in [(2, 5, 1, None), (3, 4, 1, 8), (3, 4, 0, None), (2, 5, 0, None), (5, 6, 0, None)]:
+        ctx = ctx_of(n, p, t)
+        gk = compute_graded_kernel(ctx, max_degree=max_degree)
+        verdicts = set()
+        for d, (_, dim_ker, dim_l) in gk.dims().items():
+            if not dim_ker or not dim_l:
+                continue
+            basis = gk.basis_polys(d)
+            members = [rng.choice(basis), rng.choice(basis).add(rng.choice(basis))]
+            others = [random_homogeneous(ctx.domain, n - 1, d, rng, max_terms=3) for _ in range(3)]
+            for g in members + others:
+                res = is_in_kernel(g, ctx)
+                assert res.member == gk.reduce_poly(g, d).is_zero(), (p, n, t, d, g)
+                verdicts.add(res.member)
+                if not res.member:
+                    value = contravariant_pairing(res.witness, g, ctx)
+                    assert not value.is_zero() and value == res.witness_value, (p, n, t, d, g)
+        assert verdicts == {True, False}, (p, n, t)
 
 
 def test_cutoff_path_matches_direct():
