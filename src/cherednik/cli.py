@@ -20,10 +20,12 @@ from pathlib import Path
 from . import __version__
 from .fields import CoeffDomain, RationalFunctionField
 from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
-from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z
+from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z, reduce_raw
 from .kernel import (
     GradedKernel,
+    _canonical,
     _pairings,
+    _walk,
     compute_graded_kernel,
     contravariant_pairing,
     dunkl_columns,
@@ -32,6 +34,7 @@ from .kernel import (
     gram_rows,
     is_in_kernel,
     is_singular,
+    slot_symmetry_classes,
 )
 from .catalog import singular_catalog
 from .series import (
@@ -446,6 +449,19 @@ def cmd_selftest(args) -> int:
         if not ok:
             cut_bad.append(f"({text}: {detail})")
     report("membership cutoff vs direct (4 polynomials, n=7)", not cut_bad, "".join(cut_bad[:1]))
+
+    orbit_bad = []  # x1^3*x3 leaves the spare slots 2, 4..8 non-contiguous
+    for text, p, t in [("x1^4", 2, 1), ("x1^2*x2^2", 3, 1), ("x1^3*x3", 3, 0)]:
+        ctx = DunklContext.make(n=9, p=p, t=t)
+        f = parse_poly(text, 8, ctx.domain)
+        classes = slot_symmetry_classes(f, ctx)
+        orbit = _walk(f, 3, classes, ctx)
+        plain = _walk(f, 3, [[i] for i in range(1, 9)], ctx)
+        if set(orbit) != {a for a in plain if _canonical(a, classes)} or any(
+            reduce_raw(g, ctx) != reduce_raw(plain[a], ctx) for a, g in orbit.items()
+        ):
+            orbit_bad.append(f"({text}, p={p}, t={t})")
+    report("membership orbit walk vs plain walk (n=9)", not orbit_bad, "".join(orbit_bad[:1]))
 
     cat = [
         ("quad_pair", {"i": 1, "j": 2}, DunklContext.make(n=5, p=2, t=0), "singular"),

@@ -9,7 +9,13 @@ own c.  Each monomial is one int key holding its n exponents in fixed-width
 slots (``Packed``), so a shift of exponents is an int addition.  ``dunkl_z``
 lifts a reduced representative to n slots, runs the core and reduces slot n
 through x_n = -(x_1 + ... + x_{n-1}); the membership walk stays upstairs and
-reduces only its leaves.  ``dunkl`` applies the single
+reduces only its leaves.  On a Sym(U)-invariant polynomial for a set U of
+orbit slots the core works on orbit representatives, the terms with
+nonincreasing U-exponents: a run of equal U-exponents e is treated at one
+of its slots, and each output term goes to its re-sorted key with weight
+mu_e', the number of U-slots of the output carrying its new exponent e'
+(an integer mod p, so no stabilizer order is ever divided by).
+``split_orbits`` splits each orbit by the value at the first orbit slot.  ``dunkl`` applies the single
 operator D_{y_i} through divided differences and is kept as the independent
 oracle for the core.
 """
@@ -151,8 +157,12 @@ def unpack_monomial(key: int, slots: int, nb: int) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int):
-    """The per-operator constants of ``_dunkl_core``, built once."""
+def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int, orbit: tuple[int, ...]):
+    """The per-operator constants of ``_dunkl_core``, built once.
+
+    The orbit slots get a mask covering them and slots i and n, and a memo
+    of ``_orbit_table`` by masked key; with no orbit slots the mask is 0.
+    """
     add, neg, mul, of_int = ring.add, ring.neg, ring.mul, ring.of_int
     norm = ring.norm or (lambda w: w)
     # the ring values t x - c z at m - e_i and c z - t x at m - e_n, for the
@@ -163,11 +173,54 @@ def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int):
     unit = [1 << (8 * nb * k) for k in range(n)]
     ui, un = unit[i - 1], unit[n - 1]
     # (slot k, its unit, step of delta_{ik}, step of delta_{kn}), 0-based slots
-    spare = tuple((k, unit[k], ui - unit[k], unit[k] - un) for k in range(n - 1) if k != i - 1)
-    return of_int(2), at_i, at_n, ui, un, spare, ui - un
+    spare = tuple(
+        (k, unit[k], ui - unit[k], unit[k] - un)
+        for k in range(n - 1)
+        if k != i - 1 and k + 1 not in orbit
+    )
+    full = (1 << (8 * nb)) - 1
+    omask = sum(full * unit[k - 1] for k in (i, n) + orbit) if orbit else 0
+    return of_int(2), at_i, at_n, ui, un, spare, ui - un, omask, {}
 
 
-def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring) -> Packed:
+def _orbit_table(mkey: int, i: int, n: int, nb: int, orbit: tuple[int, ...], ring: _Ring):
+    """The orbit slots' delta terms of D_{y_i - y_n} on one representative.
+
+    mkey holds the exponents a of slot i, b of slot n and the nonincreasing
+    values of the orbit slots U.  Each run of equal values e is treated at one
+    of its slots k: delta_{ik} on x_i^a x_k^e and delta_{kn} on x_k^e x_n^b
+    give terms x_k^e' x_i^(a+e-1-e') and x_k^e' x_n^(b+e-1-e'), sign + when
+    the first exponent is the larger.  Such a term stands for its
+    Sym(U)-orbit: it goes to its re-sorted key with weight mu_e', the number
+    of U-slots of the output that carry e' (the run length when e' = e).
+    The weights are plain integers reduced mod p; the terms at m - e_i and
+    m - e_n from empty slots stay with the core's count of zeros.  Returns
+    (scale or None for 1, key offsets) per nonzero weight mod p.
+    """
+    m = unpack_monomial(mkey, n, nb)
+    a, b = m[i - 1], m[n - 1]
+    unit = [1 << (8 * nb * k) for k in range(n)]
+    vals = [m[k - 1] for k in orbit]
+    acc: dict[int, int] = {}
+    for e in set(vals):
+        q = vals.index(e)
+        for other, uo, sign in ((a, unit[i - 1], 1 if a > e else -1), (b, unit[n - 1], 1 if e > b else -1)):
+            for e2 in range(min(e, other), max(e, other)):
+                if e == e2 == 0:
+                    continue
+                new = sorted(vals[:q] + [e2] + vals[q + 1 :], reverse=True)
+                off = (e - 1 - e2) * uo + sum((x - y) * unit[k - 1] for x, y, k in zip(new, vals, orbit))
+                acc[off] = acc.get(off, 0) + sign * new.count(e2)
+    by_weight: dict[int, list[int]] = {}
+    for off, w in acc.items():
+        if w % ring.p:
+            by_weight.setdefault(w % ring.p, []).append(off)
+    return tuple(
+        (None if w == 1 else ring.of_int(w), tuple(offs)) for w, offs in sorted(by_weight.items())
+    )
+
+
+def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring, orbit: tuple[int, ...] = ()) -> Packed:
     """D_{y_i - y_n} on packed raw n-slot terms, without reducing slot n.
 
         D_{y_i-y_n} = t (d_i - d_n)
@@ -183,9 +236,14 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring) -> Packed:
     is written.  Empty groups are dropped.  Reducing slot n afterwards is
     sound in every characteristic: [y_i - y_n, x_1 + ... + x_n] = 0, so the
     operator preserves that ideal.
+
+    With orbit slots U (1-based, i not among them), f is Sym(U)-invariant
+    and given by its orbit representatives, the terms whose U-exponents are
+    nonincreasing along U; the image comes back the same way.  The U-slots'
+    delta terms are then read off ``_orbit_table`` by representative.
     """
     p, add, neg, mul, zero, nb = ring.p, ring.add, ring.neg, ring.mul, ring.zero, f.nb
-    two, at_i, at_n, ui, un, spare, step_in = _core_layout(i, n, t, c, ring, nb)
+    two, at_i, at_n, ui, un, spare, step_in, omask, tables = _core_layout(i, n, t, c, ring, nb, orbit)
     groups = []
     for den, terms in f.groups:
         out: dict[int, object] = {}
@@ -235,6 +293,15 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring) -> Packed:
                         for _ in range(stop):
                             out[start] = add(get(start, zero), sv)
                             start += step_kn
+                if omask:
+                    mk = key & omask
+                    if (table := tables.get(mk)) is None:
+                        table = tables[mk] = _orbit_table(mk, i, n, nb, orbit, ring)
+                    for scale, offs in table:
+                        sv = cv if scale is None else mul(cv, scale)
+                        for off in offs:
+                            kk = key + off
+                            out[kk] = add(get(kk, zero), sv)
                 if two and a != b:  # 2 delta_{in} on x_i^a x_n^b
                     if a > b:
                         sv, start, stop = mul(cv, two), key + (b - a) * ui + (a - 1 - b) * un, a - b
@@ -267,10 +334,43 @@ def lift_raw(f: ReducedPoly) -> Packed:
     return Packed(nb, list(groups.items()))
 
 
-def dunkl_z_raw(f: Packed, i: int, ctx: DunklContext) -> Packed:
-    """D_{y_i - y_n} with the context's t and c on packed raw n-slot terms."""
+def dunkl_z_raw(f: Packed, i: int, ctx: DunklContext, orbit: tuple[int, ...] = ()) -> Packed:
+    """D_{y_i - y_n} with the context's t and c on packed raw n-slot terms,
+    given by their orbit representatives for Sym(orbit)."""
     ring = _ring(ctx.domain)
-    return _dunkl_core(f, i, ctx.n, ctx.t, ring.c, ring)
+    return _dunkl_core(f, i, ctx.n, ctx.t, ring.c, ring, orbit)
+
+
+@lru_cache(maxsize=None)
+def _split_offsets(upart: int, n: int, nb: int, orbit: tuple[int, ...]) -> tuple[int, ...]:
+    """Key offsets from one Sym(orbit)-representative to the
+    Sym(orbit[1:])-representatives of its orbit, one per distinct value
+    moved to slot orbit[0]; the other values stay nonincreasing."""
+    m = unpack_monomial(upart, n, nb)
+    vals = [m[k - 1] for k in orbit]
+    offs = []
+    for q, v in enumerate(vals):
+        if q and v == vals[q - 1]:
+            continue
+        new = [v] + vals[:q] + vals[q + 1 :]
+        offs.append(sum((x - y) << (8 * nb * (k - 1)) for x, y, k in zip(new, vals, orbit)))
+    return tuple(offs)
+
+
+def split_orbits(f: Packed, n: int, orbit: tuple[int, ...]) -> Packed:
+    """f given by Sym(orbit)-representatives, rewritten by
+    Sym(orbit[1:])-representatives: each orbit splits by the value at slot
+    orbit[0], and each part keeps the coefficient."""
+    nb = f.nb
+    umask = sum(((1 << (8 * nb)) - 1) << (8 * nb * (k - 1)) for k in orbit)
+    groups = []
+    for den, terms in f.groups:
+        out = {}
+        for key, v in terms.items():
+            for off in _split_offsets(key & umask, n, nb, orbit):
+                out[key + off] = v
+        groups.append((den, out))
+    return Packed(nb, groups)
 
 
 @lru_cache(maxsize=None)

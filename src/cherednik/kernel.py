@@ -20,7 +20,15 @@ over multisets of operator slots, up to the stabilizer of the polynomial
 among slot permutations.  It stays upstairs on packed raw n-slot terms,
 prunes empty images, and stops ``tail`` operators short of the degree:
 tail 0 on the ``direct`` route, whose leaves are constants, and tail 3 on
-the ``cutoff`` route.  Only the leaves are reduced.
+the ``cutoff`` route.  The spare slots U that f does not use and the
+multiset a has not touched are interchangeable on D^a f, since each
+D_{y_j - y_n} with j, n outside U commutes with Sym(U); so a node keeps one
+representative per Sym(U)-orbit, the term with nonincreasing U-exponents,
+and the core weights each re-sorted output by mu_e', the number of U-slots
+carrying its new exponent e'.  A child on the first untouched spare slot
+j = U[0] first splits each orbit into Sym(U - {j})-orbits, one per value at
+j.  The work per node no longer grows with n.  The leaves are expanded
+back to plain terms, and only they are reduced.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 from .fields import CoeffDomain, RationalFunctionField, Scalar
 from .poly import Monomial, ReducedPoly, monomial_index, monomials_of_degree
 from .action import Transposition, apply_transposition
-from .dunkl import DunklContext, dunkl_z, dunkl_z_raw, lift_raw, reduce_raw
+from .dunkl import DunklContext, dunkl_z, dunkl_z_raw, lift_raw, reduce_raw, split_orbits
 from . import linalg
 
 
@@ -145,8 +153,11 @@ class GradedKernel:
         ncols = len(monomials_of_degree(ctx.nvars, d))
         stacked: list[list] = []
         if prev.dim_l:  # once L[d-1] = 0 there is nothing to pair with: ker B[d] is everything
+            widths = None
             for cols_i in dunkl_matrices(d, ctx):
-                stacked.extend(linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i))
+                if widths is None:  # every slot's matrix is a permutation of D_1's
+                    widths = linalg.packing_widths(adapter, prev.constraint_rows, cols_i)
+                stacked.extend(linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i, widths))
         ech_rows, ech_pivots = linalg.echelon(adapter, stacked)
         rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
         kernel_rows, kernel_pivots = linalg.kernel_from_rref(dom, rref, ech_pivots, ncols)
@@ -315,7 +326,8 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     monomials_of_degree.  The operators commute, so with j the last nonzero
     slot of a, G_e[a] = G_{e-1}[a - e_j] * D_j, D_j = dunkl_columns(e, j):
     one compose per slot and degree from G_0 = [[1]], keeping every row and
-    eliminating nothing between degrees.
+    eliminating nothing between degrees.  The packing widths are taken once
+    per degree, over all of G_{e-1}, which holds every slot's rows.
     """
     nv = ctx.nvars
     adapter = linalg.RingAdapter(ctx.domain)
@@ -326,11 +338,13 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
         for a in monomials_of_degree(nv, e):
             j = max(k for k in range(nv) if a[k])
             by_slot.setdefault(j, []).append(a)
-        nxt = {}
+        nxt, widths = {}, None
         for j, multisets in by_slot.items():
             below = [gram[idx_prev[a[:j] + (a[j] - 1,) + a[j + 1:]]] for a in multisets]
             cols = dunkl_columns(e, j + 1, ctx)
-            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols)))
+            if widths is None:  # the slots' matrices are permutations of one another
+                widths = linalg.packing_widths(adapter, gram, cols)
+            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols, widths)))
         gram = [nxt[a] for a in monomials_of_degree(nv, e)]
     return gram
 
@@ -418,18 +432,33 @@ def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext) -> dict:
 
     Each multiset has one parent (drop one from its last nonzero slot), and
     that parent is canonical too.  The images stay packed raw n-slot terms;
-    a branch is pruned when its raw image is empty.
+    a branch is pruned when its raw image is empty.  A node's orbit slots U
+    are the slots of the spare class (the slots f does not use, when there
+    are two or more) that a has not touched.  The leaves come back as plain
+    terms.
     """
-    nv = ctx.nvars
-    level = {(0,) * nv: lift_raw(f)}
+    nv, n = ctx.nvars, ctx.n
+    used = {k for m in f.terms for k in range(1, nv + 1) if m[k - 1]}
+    spare = next((tuple(cls) for cls in classes if len(cls) > 1 and used.isdisjoint(cls)), ())
+    level = {(0,) * nv: (lift_raw(f), spare)}
     for _ in range(depth):
         nxt = {}
-        for a, g in level.items():
+        for a, (g, orbit) in level.items():
             for j, child in _multiset_children(a, nv):
-                if _canonical(child, classes) and (img := dunkl_z_raw(g, j, ctx)).groups:
-                    nxt[child] = img
+                if not _canonical(child, classes):
+                    continue
+                src, rest = g, orbit
+                if orbit and j == orbit[0]:
+                    src, rest = split_orbits(g, n, orbit), orbit[1:]
+                if (img := dunkl_z_raw(src, j, ctx, rest)).groups:
+                    nxt[child] = (img, rest)
         level = nxt
-    return level
+    leaves = {}
+    for a, (g, orbit) in level.items():
+        for k in range(len(orbit)):
+            g = split_orbits(g, n, orbit[k:])
+        leaves[a] = g
+    return leaves
 
 
 def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -> Membership:

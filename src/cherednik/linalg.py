@@ -104,15 +104,39 @@ def _gf2_pack_columns(rows: list[list[int]], width: int) -> list[int]:
     return cols
 
 
+def packing_widths(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list[dict[int, object]]) -> tuple:
+    """The entry sizes that fix how ``compose_rows_columns`` packs R * D.
+
+    At p = 2 the largest bit lengths in R and in D; for F_p(c) at odd p the
+    longest coefficient tuples in R and in D and the most terms in a column;
+    over F_p at odd p nothing.  Every slot's Dunkl matrix of one degree is a
+    permutation of D_1's, so one call serves the whole degree; sizes taken
+    from a superset of R's rows are safe too, as wider packing changes no
+    value.
+    """
+    dom = adapter.domain
+    if dom.p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
+        max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
+        max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
+        return max_r, max_v
+    if isinstance(dom, PrimeField):
+        return ()
+    R_len = max((len(v) for row in R_rows for v in row), default=0)
+    D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
+    return R_len, D_len, max((len(col) for col in dunkl_columns), default=0)
+
+
 def compose_rows_columns(
     adapter: RingAdapter,
     R_rows: list[list],
     dunkl_columns: list[dict[int, object]],
+    widths: tuple | None = None,
 ) -> list[list]:
     """Return the dense matrix (R * D) laid out as rows; D given column-wise.
 
     R_rows: L x M_prev ring values.  dunkl_columns[j]: sparse {row_prev: val}.
-    Result: L x len(dunkl_columns).
+    Result: L x len(dunkl_columns).  widths is ``packing_widths`` of these
+    matrices or of ones that bound them, computed here when not given.
     """
     L = len(R_rows)
     ncols = len(dunkl_columns)
@@ -120,14 +144,10 @@ def compose_rows_columns(
         return []
     dom = adapter.domain
     p = dom.p
+    if widths is None:
+        widths = packing_widths(adapter, R_rows, dunkl_columns)
     if p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
-        max_r = max(
-            (v.bit_length() for row in R_rows for v in row), default=1
-        )
-        max_v = max(
-            (v.bit_length() for col in dunkl_columns for v in col.values()),
-            default=1,
-        )
+        max_r, max_v = widths
         width = max_r + max_v + 1
         packed = _gf2_pack_columns(R_rows, width)
         mask = (1 << width) - 1
@@ -155,11 +175,9 @@ def compose_rows_columns(
     # F_p(c) at odd p: Kronecker substitution c -> 2^digit turns each F_p[c]
     # entry into an int whose base-2^digit digits are its coefficients; digit
     # is wide enough that no coefficient of a product sum carries over
-    R_len = max((len(v) for row in R_rows for v in row), default=0)
-    D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
+    R_len, D_len, terms = widths
     if not R_len or not D_len:
         return [[()] * ncols for _ in range(L)]
-    terms = max(len(col) for col in dunkl_columns)
     digit = ((p - 1) ** 2 * min(R_len, D_len) * terms).bit_length()
     width = (R_len + D_len - 1) * digit
 

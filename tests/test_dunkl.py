@@ -17,6 +17,7 @@ from cherednik.dunkl import (
     dunkl_z_raw,
     lift_raw,
     pack_monomial,
+    split_orbits,
     unpack_monomial,
 )
 
@@ -271,3 +272,30 @@ def test_degree_past_one_byte_per_slot(p, t):
         image = dunkl_z(f, i, ctx)
         assert not image.is_zero() and image.degree() == 299
         assert image == _difference_oracle(f, i, ctx)
+
+
+@pytest.mark.parametrize("nb", [1, 2])
+@pytest.mark.parametrize("p,t,c", [(2, 1, "generic"), (3, 1, "generic"), (5, 0, 1), (3, 1, 2)])
+def test_core_on_orbit_representatives(nb, p, t, c):
+    # spare slots 2, 4, 5, 6 around the support {1, 3}: a chain of operators
+    # on orbit representatives, popping the first spare slot when it is hit,
+    # against the same chain on plain terms, upstairs and term by term
+    n = 7
+    ctx = ctx_of(n, p, t, c)
+    f = parse_poly("x1^4*x3^2+(2)*x1^2*x3^4+x1*x3^5", n - 1, ctx.domain)
+    lifted = lift_raw(f)
+    g = Packed(nb, [
+        (den, {pack_monomial(unpack_monomial(k, n, lifted.nb), nb): v for k, v in terms.items()})
+        for den, terms in lifted.groups
+    ])
+    orbit, reps, plain = (2, 4, 5, 6), g, g
+    for j in (1, 3, 2, 1, 4):
+        if j == orbit[0]:
+            reps, orbit = split_orbits(reps, n, orbit), orbit[1:]
+        reps = dunkl_z_raw(reps, j, ctx, orbit)
+        plain = dunkl_z_raw(plain, j, ctx)
+        expanded = reps
+        for k in range(len(orbit)):
+            expanded = split_orbits(expanded, n, orbit[k:])
+        assert plain.groups
+        assert dict(expanded.groups) == dict(plain.groups)

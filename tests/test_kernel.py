@@ -1,15 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cherednik import linalg
 from cherednik.fields import CoeffDomain, Scalar
 from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
-from cherednik.dunkl import DunklContext
+from cherednik.dunkl import DunklContext, reduce_raw
 from cherednik.kernel import (
     GradedKernel,
+    _canonical,
     _pairings,
+    _walk,
     compute_graded_kernel,
     contravariant_pairing,
     dunkl_columns,
@@ -238,6 +240,53 @@ def test_cutoff_path_matches_direct():
         if not expect:
             v = contravariant_pairing(fast.witness, f, ctx)
             assert not v.is_zero()
+
+
+def _on_slots(g: ReducedPoly, slots, nv: int) -> ReducedPoly:
+    """g in len(slots) variables, its variable k moved to slot slots[k]."""
+    terms = {}
+    for m, v in g.terms.items():
+        mm = [0] * nv
+        for k, e in zip(slots, m):
+            mm[k - 1] = e
+        terms[tuple(mm)] = v
+    return ReducedPoly(g.domain, nv, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(4, 10),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+    scattered=st.booleans(),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 10**9),
+)
+# spare runs of length p at n = 9: weights mu = p vanish mod p
+@example(p=2, t=1, n=9, c="generic", scattered=False, d=4, seed=1)
+@example(p=3, t=1, n=9, c="generic", scattered=True, d=4, seed=2)
+@example(p=3, t=0, n=10, c=1, scattered=True, d=4, seed=3)
+def test_orbit_walk_matches_plain_walk(p, t, n, c, scattered, d, seed):
+    # the walk on orbit representatives of the spare slots against the walk
+    # with singleton classes, which has no orbit slots, on every multiset of
+    # the first; support slots first (contiguous spares) or scattered
+    rng = random.Random(seed)
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    dom, nv = ctx.domain, n - 1
+    k = rng.randint(1, min(3, nv - 2))
+    slots = sorted(rng.sample(range(1, nv + 1), k)) if scattered else list(range(1, k + 1))
+    f = _on_slots(random_homogeneous(dom, k, d, rng), slots, nv)
+    if c == "generic":  # a second denominator group: terms over 1 + c
+        g = _on_slots(random_homogeneous(dom, k, d, rng), slots, nv)
+        f = f.add(g.scalar_mul(dom.div(dom.one, dom.add(dom.one, dom.c_scalar()))))
+    depth = rng.randint(1, d)
+    classes = slot_symmetry_classes(f, ctx)
+    orbit = _walk(f, depth, classes, ctx)
+    plain = _walk(f, depth, [[i] for i in range(1, nv + 1)], ctx)
+    assert set(orbit) == {a for a in plain if _canonical(a, classes)}
+    for a, g in orbit.items():
+        assert reduce_raw(g, ctx) == reduce_raw(plain[a], ctx), (a, f)
 
 
 def test_symmetry_classes():

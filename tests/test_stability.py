@@ -138,6 +138,15 @@ def test_consistency_two_n_above_bound():
     assert [e.n for e in v.per_n][-2:] == [13, 15]
 
 
+def test_heaviest_family_two_n_past_the_bound():
+    # the family that dominates the sweep stays in ker B two odd n past its
+    # bound of 15: membership does not depend on n
+    v = is_stably_in_kernel(inst("x1^5*x2^2*x3^2"), extra_above_bound=2)
+    assert v.stable
+    assert [e.n for e in v.per_n] == list(range(5, 20, 2))
+    assert all(e.in_kernel for e in v.per_n)
+
+
 def test_verdict_json_shape():
     v = is_stably_in_kernel(inst("x1^6"))
     d = v.to_json()
