@@ -395,7 +395,8 @@ def cmd_selftest(args) -> int:
             values = [[draw([rng.randrange(dom.p), rng.randrange(dom.p)]) for _ in range(ncols)] for _ in range(nrows)]
             rref, pivots = linalg.sparse_rref(dom, [{j: v for j, v in enumerate(r) if not dom.is_zero(v)} for r in values])
             want = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, ncols))
-            if linalg.kernel_from_rref(dom, rref, pivots, ncols) != want:
+            right = linalg.sparse_rref(dom, [{ncols - 1 - j: v for j, v in r.items()} for r in rref])
+            if linalg.kernel_from_rref(dom, *right, ncols) != want:
                 kern_bad.append(f"({dom!r}, {nrows}x{ncols} of rank {len(pivots)})")
     report("kernel extraction vs reduced natural kernel (20 matrices)", not kern_bad, "".join(kern_bad[:1]))
 

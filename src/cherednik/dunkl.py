@@ -166,8 +166,9 @@ def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int, orbit: tuple[i
     add, neg, mul, of_int = ring.add, ring.neg, ring.mul, ring.of_int
     norm = ring.norm or (lambda w: w)
     # the ring values t x - c z at m - e_i and c z - t x at m - e_n, for the
-    # exponent x of slot i (or n) and the number z of empty spare slots, mod p
-    rows = [[add(of_int(t * x), neg(mul(of_int(z), c))) for z in range(ring.p)] for x in range(ring.p)]
+    # exponent x < 2^(8 nb) of slot i (or n) and the number z < n of empty spare slots, mod p
+    xs, zs = range(min(ring.p, 1 << 8 * nb)), range(min(ring.p, n))
+    rows = [[add(of_int(t * x), neg(mul(of_int(z), c))) for z in zs] for x in xs]
     at_i = tuple(tuple(norm(w) for w in row) for row in rows)
     at_n = tuple(tuple(norm(neg(w)) for w in row) for row in rows)
     unit = [1 << (8 * nb * k) for k in range(n)]

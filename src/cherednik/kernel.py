@@ -7,7 +7,8 @@ image D^a q.  Degree by degree,
     ker B[d] = { f : D_{y_i - y_n} f  lies in  ker B[d-1]  for every i },
 
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
-matrices composed with the previous degree's quotient coordinates and reduce.
+matrices composed with the previous degree's constraint rows and reduce the
+stack once, from the right (``reduce_from_the_right``).
 Only D_{y_1 - y_n} is computed term by term: s = (1 i) fixes y_n, so
 D_{y_i - y_n} = s D_{y_1 - y_n} s, a re-indexing of its matrix.
 An independent oracle builds the full Gram matrix by a degree recursion on
@@ -99,15 +100,27 @@ def dunkl_matrices(d: int, ctx: DunklContext):
         ]
 
 
+def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], ncols: int):
+    """(kernel rows, kernel pivots, constraint rows) from one RREF of the rows
+    with their columns reversed; its rows, back in natural column order, span
+    the row space, with denominators cleared and content 1."""
+    ech_rows, ech_pivots = linalg.echelon(adapter, [row[::-1] for row in rows])
+    rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
+    kernel = linalg.kernel_from_rref(adapter.domain, rref, ech_pivots, ncols)
+    return *kernel, [row[::-1] for row in ech_rows]
+
+
 @dataclass
 class DegreeData:
+    """ker B[d] in canonical RREF and the constraint rows ``reduce_from_the_right`` gave."""
+
     degree: int
     dim_m: int
     kernel_rows: list[dict[int, object]]
     kernel_pivots: list[int]
     dim_l: int
     constraint_rows: list[list] = field(repr=False, default_factory=list)
-    points: int = 0  # evaluation points the F_p(c) routes tried, dropped ones included
+    points: int = 0  # evaluation points the F_p(c) elimination tried, dropped ones included
     seconds: float = 0.0
 
     @property
@@ -158,18 +171,10 @@ class GradedKernel:
                 if widths is None:  # every slot's matrix is a permutation of D_1's
                     widths = linalg.packing_widths(adapter, prev.constraint_rows, cols_i)
                 stacked.extend(linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i, widths))
-        ech_rows, ech_pivots = linalg.echelon(adapter, stacked)
-        rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-        kernel_rows, kernel_pivots = linalg.kernel_from_rref(dom, rref, ech_pivots, ncols)
-        dim_l = len(ech_pivots)
-        if dim_l + len(kernel_rows) != ncols:
-            raise AssertionError("rank accounting failed")
-        constraint_rows = []
-        for srow in rref:
-            constraint_rows.append(adapter.strip_row(adapter.clear_denominators(srow, ncols)))
+        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(adapter, stacked, ncols)
         points = getattr(dom, "points_tried", 0) - points_before
         data = DegreeData(
-            d, ncols, kernel_rows, kernel_pivots, dim_l, constraint_rows,
+            d, ncols, kernel_rows, kernel_pivots, len(constraint_rows), constraint_rows,
             points, time.perf_counter() - start,
         )
         self.degrees[d] = data
@@ -365,10 +370,7 @@ def gram_oracle_kernel(
             f"Gram matrix would need {n_monos * n_monos} pairings; "
             "use the recursive kernel engine instead"
         )
-    adapter = linalg.RingAdapter(ctx.domain)
-    ech_rows, ech_pivots = linalg.echelon(adapter, gram_rows(d, ctx))
-    rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-    return linalg.kernel_from_rref(ctx.domain, rref, ech_pivots, n_monos)
+    return reduce_from_the_right(linalg.RingAdapter(ctx.domain), gram_rows(d, ctx), n_monos)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ The kernel engine needs three things, all deterministic:
   * compose A = R * D column-by-column, where R is a small dense matrix of
     ring values (the constraint rows of the previous degree) and D is a
     sparse Dunkl matrix whose entries have tiny c-degree;
-  * the canonical RREF of A, and the kernel of A extracted from it, again
-    in canonical RREF under the graded-lex column order, read off the RREF
-    from the right so that it needs no elimination of its own.
+  * the canonical RREF of A from the right (A with its columns reversed):
+    its rows span the row space of A, and its free columns give the kernel
+    of A, in canonical RREF under the graded-lex column order, as it stands.
 
 One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
 Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
@@ -45,7 +45,8 @@ class RingAdapter:
             self.one = domain.from_int(1)
 
     def strip_row(self, row):
-        """Divide a row by its content so entries stay small (generic mode)."""
+        """Divide a row by its content (generic mode).  Nothing calls it, as
+        ``echelon`` rows have content 1; the benchmark tracer binds the name."""
         if not self.is_generic:
             return row
         R = self.ring
@@ -109,21 +110,22 @@ def packing_widths(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list
 
     At p = 2 the largest bit lengths in R and in D; for F_p(c) at odd p the
     longest coefficient tuples in R and in D and the most terms in a column;
-    over F_p at odd p nothing.  Every slot's Dunkl matrix of one degree is a
-    permutation of D_1's, so one call serves the whole degree; sizes taken
-    from a superset of R's rows are safe too, as wider packing changes no
-    value.
+    over F_p at odd p the most terms in a column.  Every slot's Dunkl matrix
+    of one degree is a permutation of D_1's, so one call serves the whole
+    degree; sizes taken from a superset of R's rows are safe too, as wider
+    packing changes no value.
     """
     dom = adapter.domain
     if dom.p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
         max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
         max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
         return max_r, max_v
+    terms = max((len(col) for col in dunkl_columns), default=0)
     if isinstance(dom, PrimeField):
-        return ()
+        return (terms,)
     R_len = max((len(v) for row in R_rows for v in row), default=0)
     D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
-    return R_len, D_len, max((len(col) for col in dunkl_columns), default=0)
+    return R_len, D_len, terms
 
 
 def compose_rows_columns(
@@ -167,8 +169,8 @@ def compose_rows_columns(
             rows.append([(acc >> sh) & mask for acc in out_cols])
         return rows
     if isinstance(dom, PrimeField):
-        # additive packing: entries < p, accumulated sums stay below 2^width
-        width = 48
+        # additive packing: entries < p, so a sum of terms products fits in width bits
+        width = ((p - 1) ** 2 * widths[0]).bit_length()
         out_cols = _packed_products(R_rows, dunkl_columns, width)
         mask = (1 << width) - 1
         return [[((acc >> r * width) & mask) % p for acc in out_cols] for r in range(L)]
@@ -287,25 +289,17 @@ def kernel_from_rref(
     pivot_cols: list[int],
     ncols: int,
 ):
-    """Kernel of the constraint matrix, as canonical sparse RREF rows.
+    """Kernel of a matrix, as canonical sparse RREF rows, from its RREF from the right.
 
-    Read off the RREF from the right (the L rows reduced with their columns
-    reversed, so each pivot is the largest column of its row): free column f
-    gives v_f = e_f minus column f of those rows, which is canonical as it
-    stands, as its other entries sit at right pivots, all to the right of f.
-    Over F_p(c) the modular route reduces the rows, so the kernel is certified.
+    rref_rows and pivot_cols are the canonical RREF, pivot entries 1, of the
+    matrix with its columns reversed.  Mapped back to the natural columns,
+    each pivot is the largest column of its row, so free column f gives
+    v_f = e_f minus column f of those rows, which is canonical as it stands:
+    its other entries sit at pivots, all to the right of f.
     """
-    if not rref_rows:  # no constraints: the kernel is the full space
-        return natural_kernel(domain, [], [], ncols), list(range(ncols))
     top = ncols - 1
-    flipped = [{top - c: v for c, v in row.items()} for row in rref_rows]
-    if isinstance(domain, RationalFunctionField):
-        adapter = RingAdapter(domain)
-        right = _modular_rref(adapter, [adapter.clear_denominators(r, ncols) for r in flipped])
-    else:
-        right = sparse_rref(domain, flipped)
-    rows = [{top - c: v for c, v in row.items()} for row in right[0]]
-    vectors = natural_kernel(domain, rows, [top - c for c in right[1]], ncols)
+    rows = [{top - c: v for c, v in row.items()} for row in rref_rows]
+    vectors = natural_kernel(domain, rows, [top - c for c in pivot_cols], ncols)
     return vectors, [min(v) for v in vectors]
 
 

@@ -97,7 +97,7 @@ def test_criterion_3_t1_p2_exact_reproduction():
 @pytest.mark.stretch
 @pytest.mark.skipif(
     os.environ.get("CHEREDNIK_STRETCH") != "1",
-    reason="n=7 stretch cell (about 80 s of certified exact elimination); set CHEREDNIK_STRETCH=1",
+    reason="n=7 stretch cell (about 45 s of certified exact elimination); set CHEREDNIK_STRETCH=1",
 )
 def test_criterion_3_stretch_n7_exact():
     start = time.monotonic()

@@ -7,6 +7,7 @@ from cherednik import linalg
 from cherednik.fields import CoeffDomain, Scalar
 from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
 from cherednik.dunkl import DunklContext, reduce_raw
+from cherednik.series import baby_verma_series, computed_hilbert
 from cherednik.kernel import (
     GradedKernel,
     _canonical,
@@ -106,6 +107,18 @@ def test_oracle_equivalence_small(p, n, t, dmax):
         rows, pivots = gram_oracle_kernel(d, ctx)
         assert rows == data.kernel_rows
         assert pivots == data.kernel_pivots
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+@pytest.mark.parametrize("n", [3, 4])
+def test_large_p_matches_the_oracle_and_the_baby_verma_series(p, n):
+    # the core's tables are bounded by n and the exponent width, not by p, and
+    # compose packs F_p entries wide enough that sums never carry across rows
+    ctx = ctx_of(n, p, 0)
+    gk = compute_graded_kernel(ctx)
+    for d in range(1, max(gk.degrees) + 1):
+        assert gram_oracle_kernel(d, ctx) == (gk.degrees[d].kernel_rows, gk.degrees[d].kernel_pivots)
+    assert computed_hilbert(gk).coeffs == baby_verma_series(n, p, 0).coeffs
 
 
 @pytest.mark.slow

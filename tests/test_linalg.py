@@ -10,18 +10,25 @@ from cherednik import linalg
 from cherednik.fields import CoeffDomain, PrimeField, RationalFunctionField, point_field
 
 
+def reversed_columns(rows, ncols):
+    return [{ncols - 1 - j: v for j, v in row.items()} for row in rows]
+
+
 def field_fraction_route(dom, A):
-    """RREF and kernel by direct elimination over F_p(c): the independent oracle."""
-    R = dom.ring
+    """The RREF from the right, and the kernel read off the RREF from the left
+    and reduced, by direct elimination over F_p(c): the independent oracle."""
+    R, ncols = dom.ring, len(A[0])
     rows = [{j: (v, R.one) for j, v in enumerate(row) if v != R.zero} for row in A]
     rref, pivots = linalg.sparse_rref(dom, rows)
-    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, len(A[0])))
-    return (rref, pivots), kernel
+    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, ncols))
+    return linalg.sparse_rref(dom, reversed_columns(rows, ncols)), kernel
 
 
 def modular_route(dom, A):
+    """The engine's one elimination: the certified RREF of A with its columns
+    reversed, and the kernel read off it."""
     adapter = linalg.RingAdapter(dom)
-    rows, pivots = linalg.echelon(adapter, A)
+    rows, pivots = linalg.echelon(adapter, [row[::-1] for row in A])
     rref = linalg.rref_scalar_rows(adapter, rows, pivots)
     return (rref, pivots), linalg.kernel_from_rref(dom, rref, pivots, len(A[0]))
 
@@ -99,7 +106,10 @@ def test_echelon_over_a_prime_field_against_enumeration(case):
     for r, (row, pc) in enumerate(zip(rows, pivots)):
         assert not any(row[:pc]) and row[pc] == 1
         assert all(other[pc] == 0 for other in rows[:r] + rows[r + 1 :])
-    kernel, _ = linalg.kernel_from_rref(dom, linalg.rref_scalar_rows(adapter, rows, pivots), pivots, ncols)
+    right, right_pivots = linalg.echelon(adapter, [row[::-1] for row in A])
+    assert span(p, [row[::-1] for row in right], ncols) == span(p, A, ncols)
+    rref = linalg.rref_scalar_rows(adapter, right, right_pivots)
+    kernel, _ = linalg.kernel_from_rref(dom, rref, right_pivots, ncols)
     dense = [[v.get(c, 0) for c in range(ncols)] for v in kernel]
     assert len(span(p, dense, ncols)) == p ** (ncols - len(pivots)) == p ** len(kernel)
     for v in dense:
@@ -148,7 +158,8 @@ def reduced_natural_kernel(dom, rows, pivots, ncols):
 @given(canonical_rrefs())
 def test_kernel_from_the_right_matches_the_reduced_natural_kernel(case):
     dom, rows, pivots, ncols = case
-    assert linalg.kernel_from_rref(dom, rows, pivots, ncols) == reduced_natural_kernel(dom, rows, pivots, ncols)
+    right, right_pivots = linalg.sparse_rref(dom, reversed_columns(rows, ncols))
+    assert linalg.kernel_from_rref(dom, right, right_pivots, ncols) == reduced_natural_kernel(dom, rows, pivots, ncols)
 
 
 class OffByOne(PrimeField):
@@ -370,3 +381,13 @@ def test_packed_compose_has_room_for_the_largest_sums(p):
     cols = [{k: top for k in range(40)} for _ in range(2)]
     adapter = linalg.RingAdapter(CoeffDomain.generic(p))
     assert linalg.compose_rows_columns(adapter, rows, cols) == entrywise_product(p, rows, cols)
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])
+def test_prime_field_compose_has_room_for_the_largest_sums(p):
+    # every entry p - 1 and every column full: the largest sums of products
+    rows = [[p - 1] * 40 for _ in range(3)]
+    cols = [{k: p - 1 for k in range(40)} for _ in range(2)]
+    adapter = linalg.RingAdapter(CoeffDomain.prime(p))
+    want = [[sum(row[k] * v for k, v in col.items()) % p for col in cols] for row in rows]
+    assert linalg.compose_rows_columns(adapter, rows, cols) == want
