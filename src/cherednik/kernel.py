@@ -9,8 +9,11 @@ image D^a q.  Degree by degree,
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
 matrices composed with the previous degree's constraint rows and reduce the
 stack once, from the right (``reduce_from_the_right``).
-Only D_{y_1 - y_n} is computed term by term: s = (1 i) fixes y_n, so
-D_{y_i - y_n} = s D_{y_1 - y_n} s, a re-indexing of its matrix.
+Only R D_1 is composed, R the constraint rows and D_i the matrix of
+D_{y_i - y_n}.  s = (1 i) fixes y_n and permutes monomials by P_s, so
+R D_i = (R P_s) D_1 P_s, and R P_s = G R with G invertible, as the row space
+of R, ker B[d-1]^perp, is S_{n-1}-stable: the rows of R D_1 with their
+columns permuted by s span the row space of R D_i.
 An independent oracle builds the full Gram matrix by a degree recursion on
 its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it;
 it builds every slot's D_j directly.
@@ -82,22 +85,12 @@ def _slot_swap(nv: int, d: int, i: int) -> list[int]:
     return [idx[(m[i - 1],) + m[1 : i - 1] + (m[0],) + m[i:]] for m in monomials_of_degree(nv, d)]
 
 
-def dunkl_matrices(d: int, ctx: DunklContext):
-    """Yield the dunkl_columns matrices of D_{y_i - y_n} for i = 1..n-1.
-
-    Only D_1 runs dunkl_z.  The transposition s = (1 i) fixes y_n, so
-    D_{y_i - y_n} = s D_{y_1 - y_n} s, and s acts on reduced monomials by
-    swapping exponent slots 1 and i: D_i(x^m) = s D_1(x^{s m}).  The ring
-    values of D_1 are moved to their new indices, never recomputed.
-    """
-    first = dunkl_columns(d, 1, ctx)
-    yield first
-    nv = ctx.nvars
-    for i in range(2, nv + 1):
-        swap_prev = _slot_swap(nv, d - 1, i)
-        yield [
-            {swap_prev[r]: v for r, v in first[k].items()} for k in _slot_swap(nv, d, i)
-        ]
+def _stacked_rows(R: list[list], d: int, ctx: DunklContext) -> list[list]:
+    """The rows of R D_1, then for each i = 2..n-1 the same rows with their
+    columns permuted by s = (1 i): a stack with the row space of all R D_i."""
+    first = linalg.compose_rows_columns(linalg.RingAdapter(ctx.domain), R, dunkl_columns(d, 1, ctx))
+    swaps = [_slot_swap(ctx.nvars, d, i) for i in range(2, ctx.nvars + 1)]
+    return first + [[row[k] for k in swap] for swap in swaps for row in first]
 
 
 def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], ncols: int):
@@ -158,20 +151,12 @@ class GradedKernel:
         if d - 1 not in self.degrees:
             self.compute_degree(d - 1)
         start = time.perf_counter()
-        ctx = self.ctx
-        dom = ctx.domain
-        adapter = self.adapter
+        ctx, dom = self.ctx, self.ctx.domain
         points_before = getattr(dom, "points_tried", 0)
         prev = self.degrees[d - 1]
         ncols = len(monomials_of_degree(ctx.nvars, d))
-        stacked: list[list] = []
-        if prev.dim_l:  # once L[d-1] = 0 there is nothing to pair with: ker B[d] is everything
-            widths = None
-            for cols_i in dunkl_matrices(d, ctx):
-                if widths is None:  # every slot's matrix is a permutation of D_1's
-                    widths = linalg.packing_widths(adapter, prev.constraint_rows, cols_i)
-                stacked.extend(linalg.compose_rows_columns(adapter, prev.constraint_rows, cols_i, widths))
-        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(adapter, stacked, ncols)
+        stacked = _stacked_rows(prev.constraint_rows, d, ctx) if prev.dim_l else []  # L[d-1] = 0: ker B[d] = M[d]
+        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(self.adapter, stacked, ncols)
         points = getattr(dom, "points_tried", 0) - points_before
         data = DegreeData(
             d, ncols, kernel_rows, kernel_pivots, len(constraint_rows), constraint_rows,

@@ -110,10 +110,9 @@ def packing_widths(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list
 
     At p = 2 the largest bit lengths in R and in D; for F_p(c) at odd p the
     longest coefficient tuples in R and in D and the most terms in a column;
-    over F_p at odd p the most terms in a column.  Every slot's Dunkl matrix
-    of one degree is a permutation of D_1's, so one call serves the whole
-    degree; sizes taken from a superset of R's rows are safe too, as wider
-    packing changes no value.
+    over F_p at odd p the most terms in a column.  Sizes taken from a
+    superset of R's rows or a column permutation of D are safe too, as wider
+    packing changes no value: ``gram_rows`` makes one call per degree.
     """
     dom = adapter.domain
     if dom.p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):

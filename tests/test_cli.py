@@ -103,13 +103,22 @@ def test_t1_record_reports_per_degree_timing():
         assert [row["M"], row["L"]] == [rec["dims"][str(row["degree"])][i] for i in (0, 2)]
     # every degree up to the first zero of L is eliminated at one point or more
     assert all(row["points"] >= 1 for row in per_degree)
-    # everything outside timing is byte-identical to the record the
-    # fraction-free elimination wrote for this cell (sha256 11b5b994...),
-    # less its dims 12 and 13, with key format_version 2
-    text = json.dumps(strip_timing(rec), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ddde738b0570fdfb6e4a2d9ec1798505575961b3d8438c5ac5bf9ef2c70362b9"
-    )
+    # everything outside timing is pinned under the cache epoch: an answer
+    # change fails here until FORMAT_VERSION moves.  The (2,5) record is the
+    # one the fraction-free elimination wrote (sha256 11b5b994...), less its
+    # dims 12 and 13; (2,9,t=0) sends eight slots through the stacked rows of
+    # each degree, and (3,4) is an odd-p generic cell.
+    pins = {
+        (2, 5, 1, "generic"): "ddde738b0570fdfb6e4a2d9ec1798505575961b3d8438c5ac5bf9ef2c70362b9",
+        (2, 9, 0, "1"): "2584b64e66f8772daee56910eadec1c21a2c93229fa71d3e10415bf110838306",
+        (3, 4, 1, "generic"): "b6023c2d67680f96cdfe2dadff53905ecf60ee0d70cdb06fadee4d67023cce43",
+    }
+    assert cherednik.FORMAT_VERSION == 2  # the cache epoch the pins were taken at
+    for cell, digest in pins.items():
+        cell_rec = rec if cell == (2, 5, 1, "generic") else _run_cell(*cell, None)[0].to_json()
+        assert cell_rec["key"]["format_version"] == cherednik.FORMAT_VERSION
+        text = json.dumps(strip_timing(cell_rec), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, cell
 
 
 def test_hilbert_exit_code_on_mismatch(tmp_path):
@@ -300,9 +309,17 @@ def test_usage_error_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("p, n, message", [("4", "3", "4 is not prime"), ("2", "1", "need n >= 2")])
-def test_hilbert_bad_cell_exit_2(tmp_path, p, n, message):
-    proc = run_cli(["hilbert", "--p", p, "--n", n, "--t", "0"], tmp_path)
+@pytest.mark.parametrize(
+    "p, n, message, t",
+    [
+        pytest.param("4", "3", "4 is not prime", "0", id="4-3-4 is not prime"),
+        pytest.param("2", "1", "need n >= 2", "0", id="2-1-need n >= 2"),
+        # generic c (the t=1 default) needs table fields of p^k <= 2^16
+        pytest.param("65537", "3", "generic c needs p < 2^16", "1", id="65537-3-generic c needs p < 2^16"),
+    ],
+)
+def test_hilbert_bad_cell_exit_2(tmp_path, p, n, message, t):
+    proc = run_cli(["hilbert", "--p", p, "--n", n, "--t", t], tmp_path)
     assert proc.returncode == 2
     assert f"error: {message}" in proc.stderr
     assert "internal error" not in proc.stderr

@@ -12,16 +12,17 @@ from cherednik.kernel import (
     GradedKernel,
     _canonical,
     _pairings,
+    _stacked_rows,
     _walk,
     compute_graded_kernel,
     contravariant_pairing,
     dunkl_columns,
-    dunkl_matrices,
     gram_oracle_kernel,
     gram_rows,
     is_in_kernel,
     is_singular,
     kernel_at_degree,
+    reduce_from_the_right,
     ResourceLimitError,
     slot_symmetry_classes,
 )
@@ -163,10 +164,13 @@ def test_gram_recursion_matches_pairing_tree(p, t, n, d, c, seed):
     d=st.integers(1, 4),
     c=st.one_of(st.just("generic"), st.integers(0, 4)),
 )
-def test_dunkl_matrices_follow_the_slot_symmetry(p, t, n, d, c):
-    # D_i re-indexed from D_1 by s = (1 i) against dunkl_z run on every slot
+def test_stacked_rows_follow_the_slot_symmetry(p, t, n, d, c):
+    # R D_1 with its columns permuted by s = (1 i) against R D_i composed for every slot
     ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
-    assert list(dunkl_matrices(d, ctx)) == [dunkl_columns(d, i, ctx) for i in range(1, n)]
+    R = GradedKernel(ctx).compute_degree(d - 1).constraint_rows
+    adapter, ncols = linalg.RingAdapter(ctx.domain), len(monomials_of_degree(n - 1, d))
+    every = [row for i in range(1, n) for row in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
+    assert reduce_from_the_right(adapter, _stacked_rows(R, d, ctx), ncols) == reduce_from_the_right(adapter, every, ncols)
 
 
 def test_gram_oracle_degree_zero_and_limit():
