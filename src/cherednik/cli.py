@@ -106,7 +106,7 @@ def _run_cell(
     series = computed_hilbert(gk)
     record.series = series.to_json()
     record.timing["per_degree"] = [
-        {"degree": d, "M": dd.dim_m, "L": dd.dim_l, "points": dd.points, "seconds": round(dd.seconds, 4)}
+        {"degree": d, "M": dd.dim_m, "live": dd.live, "L": dd.dim_l, "points": dd.points, "seconds": round(dd.seconds, 4)}
         for d, dd in sorted(gk.degrees.items()) if d
     ]
     cong = CongruenceData.of(n, p)
@@ -397,7 +397,7 @@ def cmd_selftest(args) -> int:
         for nrows, ncols in [(0, 4), (1, 5), (3, 6), (4, 4)]:
             values = [[draw([rng.randrange(dom.p), rng.randrange(dom.p)]) for _ in range(ncols)] for _ in range(nrows)]
             rref, pivots = linalg.sparse_rref(dom, [{j: v for j, v in enumerate(r) if not dom.is_zero(v)} for r in values])
-            want = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, ncols))
+            want = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)))
             right = linalg.sparse_rref(dom, [{ncols - 1 - j: v for j, v in r.items()} for r in rref])
             if linalg.kernel_from_rref(dom, *right, ncols) != want:
                 kern_bad.append(f"({dom!r}, {nrows}x{ncols} of rank {len(pivots)})")
@@ -415,16 +415,24 @@ def cmd_selftest(args) -> int:
                 break
         report(f"oracle equivalence p={p} t={t} n={n} d<={dmax}", ok)
 
-    slot_bad = []
+    slot_bad, live_bad, live_degrees = [], [], 0
     for p, t, n, c in [(2, 0, 5, 1), (3, 1, 4, "generic"), (5, 1, 4, 0), (2, 1, 6, "generic")]:
         ctx = DunklContext.make(n=n, p=p, t=t, c=c)
         gk, adapter = GradedKernel(ctx), linalg.RingAdapter(ctx.domain)
-        for d in (1, 2, 3):
+        for d in range(1, 8):
             R, ncols = gk.compute_degree(d - 1).constraint_rows, len(monomials_of_degree(n - 1, d))
             every = [r for i in range(1, n) for r in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
-            if reduce_from_the_right(adapter, _stacked_rows(R, d, ctx), ncols) != reduce_from_the_right(adapter, every, ncols):
+            full = reduce_from_the_right(adapter, every, range(ncols), {}, ncols)
+            if d <= 3 and reduce_from_the_right(adapter, _stacked_rows(R, d, ctx, range(ncols)), range(ncols), {}, ncols) != full:
                 slot_bad.append(f"(p={p}, t={t}, n={n}, c={c}, d={d})")
+            data = gk.compute_degree(d)
+            live_degrees += data.live < ncols
+            if (data.kernel_rows, data.kernel_pivots, data.constraint_rows) != full:
+                live_bad.append(f"(p={p}, t={t}, n={n}, c={c}, d={d})")
+            if not data.dim_l:
+                break
     report("stacked rows by slot symmetry vs every slot composed (12 degrees)", not slot_bad, "".join(slot_bad[:1]))
+    report(f"live columns vs full stack ({live_degrees} degrees)", not live_bad, "".join(live_bad[:1]))
 
     gram_bad = []
     for p, t, n, c, d in [(2, 0, 4, 1, 4), (3, 1, 4, "generic", 3), (5, 1, 3, 0, 5), (2, 1, 3, "generic", 5)]:

@@ -14,9 +14,20 @@ D_{y_i - y_n}.  s = (1 i) fixes y_n and permutes monomials by P_s, so
 R D_i = (R P_s) D_1 P_s, and R P_s = G R with G invertible, as the row space
 of R, ker B[d-1]^perp, is S_{n-1}-stable: the rows of R D_1 with their
 columns permuted by s span the row space of R D_i.
+The stack is built and reduced on the staircase of ker B only.  ker B is an
+H-submodule of k[x], so an ideal: x_j ker B[d-1] lies in ker B[d].  A
+degree-d monomial m is dead if m = x_j lead(v) for v in the canonical
+degree-(d-1) kernel basis; the first such (v, j) gives the relation x_j v,
+1 at m with its other entries w_m right of m, as x_j keeps the term order.
+The other monomials are live, C_d.  A row of the row space that is zero on
+C_d is zero at each dead m in turn, from the right, so the restriction to
+C_d is injective on the row space: the RREF on C_d is the RREF of the stack
+built on C_d alone, and each of its rows extends to the dead columns by
+r_m = -sum_k r_k w_m[k] (``linalg.extend``).  D_1 is built only on C_d and
+its images under the slot swaps; an empty C_d means L[d] = 0.
 An independent oracle builds the full Gram matrix by a degree recursion on
-its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it;
-it builds every slot's D_j directly.
+its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it
+on every column with no relations; it builds every slot's D_j directly.
 
 Membership of a single polynomial is decided without any matrices by one
 walk over iterated Dunkl images.  The operators commute, so the walk runs
@@ -56,18 +67,19 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def dunkl_columns(d: int, i: int, ctx: DunklContext) -> list[dict[int, object]]:
+def dunkl_columns(d: int, i: int, ctx: DunklContext, monomials=None) -> list[dict[int, object]]:
     """Matrix of D_{y_i - y_n} from degree d to d-1, column by column.
 
-    Column k is dunkl_z of the k-th degree-d monomial as {row: ring value}
-    in the degree-(d-1) basis; over F_p(c) every value is a polynomial in c.
+    Column k is dunkl_z of the k-th of ``monomials`` (by default every
+    degree-d monomial) as {row: ring value} in the degree-(d-1) basis; over
+    F_p(c) every value is a polynomial in c.
     """
     dom = ctx.domain
     nv = ctx.nvars
     idx_prev = monomial_index(nv, d - 1)
     ring_one = dom.ring.one if isinstance(dom, RationalFunctionField) else None
     cols = []
-    for m in monomials_of_degree(nv, d):
+    for m in monomials_of_degree(nv, d) if monomials is None else monomials:
         col = {}
         for mm, v in dunkl_z(ReducedPoly(dom, nv, {m: dom.one}), i, ctx).terms.items():
             if ring_one is not None:
@@ -79,25 +91,61 @@ def dunkl_columns(d: int, i: int, ctx: DunklContext) -> list[dict[int, object]]:
     return cols
 
 
-def _slot_swap(nv: int, d: int, i: int) -> list[int]:
-    """Index permutation of the degree-d monomials swapping exponent slots 1 and i."""
-    idx = monomial_index(nv, d)
-    return [idx[(m[i - 1],) + m[1 : i - 1] + (m[0],) + m[i:]] for m in monomials_of_degree(nv, d)]
+def _stacked_rows(R: list[list], d: int, ctx: DunklContext, cols) -> list[list]:
+    """On the columns ``cols``: the rows of R D_1, then for each i = 2..n-1
+    the same rows with their columns permuted by s = (1 i), a stack with the
+    row space of all R D_i.  D_1 is built on cols and their images under
+    every s only."""
+    nv = ctx.nvars
+    monos, idx = monomials_of_degree(nv, d), monomial_index(nv, d)
+    swaps = [cols] + [
+        [idx[(m[i - 1],) + m[1 : i - 1] + (m[0],) + m[i:]] for m in (monos[k] for k in cols)]
+        for i in range(2, nv + 1)
+    ]
+    built = sorted(set().union(*swaps))
+    at = {k: pos for pos, k in enumerate(built)}
+    first = linalg.compose_rows_columns(
+        linalg.RingAdapter(ctx.domain), R, dunkl_columns(d, 1, ctx, [monos[k] for k in built])
+    )
+    return [[row[j] for j in positions] for positions in ([at[k] for k in swap] for swap in swaps) for row in first]
 
 
-def _stacked_rows(R: list[list], d: int, ctx: DunklContext) -> list[list]:
-    """The rows of R D_1, then for each i = 2..n-1 the same rows with their
-    columns permuted by s = (1 i): a stack with the row space of all R D_i."""
-    first = linalg.compose_rows_columns(linalg.RingAdapter(ctx.domain), R, dunkl_columns(d, 1, ctx))
-    swaps = [_slot_swap(ctx.nvars, d, i) for i in range(2, ctx.nvars + 1)]
-    return first + [[row[k] for k in swap] for swap in swaps for row in first]
+def _staircase(prev: "DegreeData", d: int, nv: int) -> tuple[list[int], dict[int, dict]]:
+    """(live columns, relations) of degree d: the staircase of ker B.
+
+    m = x_j lead(v) is dead for v in the degree-(d-1) kernel basis; the first
+    such (v, j) gives x_j v, a vector of ker B[d] that is 1 at m, and the
+    relation w_m holds its other entries, all right of m, as x_j keeps the
+    column order.  With no live column there is no row to extend, and no
+    relation is built.
+    """
+    monos, idx = monomials_of_degree(nv, d - 1), monomial_index(nv, d)
+
+    def shift(k: int, j: int) -> int:
+        m = monos[k]
+        return idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]
+
+    first: dict[int, tuple] = {}
+    for v, pc in zip(prev.kernel_rows, prev.kernel_pivots):
+        for j in range(nv):
+            first.setdefault(shift(pc, j), (v, pc, j))
+    live = [k for k in range(len(idx)) if k not in first]
+    if not live:
+        return [], {}
+    return live, {m: {shift(k, j): x for k, x in v.items() if k != pc} for m, (v, pc, j) in first.items()}
 
 
-def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], ncols: int):
-    """(kernel rows, kernel pivots, constraint rows) from one RREF of the rows
-    with their columns reversed; its rows, back in natural column order, span
-    the row space, with denominators cleared and content 1."""
-    ech_rows, ech_pivots = linalg.echelon(adapter, [row[::-1] for row in rows])
+def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], cols, relations: dict, ncols: int):
+    """(kernel rows, kernel pivots, constraint rows) of a matrix A from one
+    RREF of A on the columns ``cols``, with its columns reversed, extended
+    to every column by ``relations`` (``linalg.echelon``): each other column m
+    maps to the entries, right of m, of a vector of ker A that is 1 at m.
+    The rows, back in natural column order, span the row space of A, with
+    denominators cleared and content 1."""
+    top = ncols - 1
+    columns = [top - k for k in reversed(cols)]
+    dead = {top - m: {top - k: x for k, x in w.items()} for m, w in relations.items()}
+    ech_rows, ech_pivots = linalg.echelon(adapter, [row[::-1] for row in rows], columns, dead)
     rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
     kernel = linalg.kernel_from_rref(adapter.domain, rref, ech_pivots, ncols)
     return *kernel, [row[::-1] for row in ech_rows]
@@ -113,6 +161,7 @@ class DegreeData:
     kernel_pivots: list[int]
     dim_l: int
     constraint_rows: list[list] = field(repr=False, default_factory=list)
+    live: int = 1  # |C_d|: the columns left after the relations from degree d-1
     points: int = 0  # evaluation points the F_p(c) elimination tried, dropped ones included
     seconds: float = 0.0
 
@@ -155,12 +204,16 @@ class GradedKernel:
         points_before = getattr(dom, "points_tried", 0)
         prev = self.degrees[d - 1]
         ncols = len(monomials_of_degree(ctx.nvars, d))
-        stacked = _stacked_rows(prev.constraint_rows, d, ctx) if prev.dim_l else []  # L[d-1] = 0: ker B[d] = M[d]
-        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(self.adapter, stacked, ncols)
+        live, relations = _staircase(prev, d, ctx.nvars)
+        # no live column: L[d] = 0 and ker B[d] = M[d], with no Dunkl image built
+        stacked = _stacked_rows(prev.constraint_rows, d, ctx, live) if live else []
+        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(
+            self.adapter, stacked, live, relations, ncols
+        )
         points = getattr(dom, "points_tried", 0) - points_before
         data = DegreeData(
             d, ncols, kernel_rows, kernel_pivots, len(constraint_rows), constraint_rows,
-            points, time.perf_counter() - start,
+            len(live), points, time.perf_counter() - start,
         )
         self.degrees[d] = data
         return data
@@ -355,7 +408,8 @@ def gram_oracle_kernel(
             f"Gram matrix would need {n_monos * n_monos} pairings; "
             "use the recursive kernel engine instead"
         )
-    return reduce_from_the_right(linalg.RingAdapter(ctx.domain), gram_rows(d, ctx), n_monos)[:2]
+    adapter = linalg.RingAdapter(ctx.domain)
+    return reduce_from_the_right(adapter, gram_rows(d, ctx), range(n_monos), {}, n_monos)[:2]
 
 
 # ---------------------------------------------------------------------------

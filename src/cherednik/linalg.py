@@ -1,13 +1,15 @@
 """Exact row reduction over F_p, F_p(c) and the table fields F_{p^k}.
 
-The kernel engine needs three things, all deterministic:
+The kernel engine needs these things, all deterministic:
 
   * compose A = R * D column-by-column, where R is a small dense matrix of
     ring values (the constraint rows of the previous degree) and D is a
     sparse Dunkl matrix whose entries have tiny c-degree;
   * the canonical RREF of A from the right (A with its columns reversed):
     its rows span the row space of A, and its free columns give the kernel
-    of A, in canonical RREF under the graded-lex column order, as it stands.
+    of A, in canonical RREF under the graded-lex column order, as it stands;
+  * that RREF from A on its live columns only, extended to the others by
+    known vectors of ker A (``extend``).
 
 One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
 Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
@@ -221,21 +223,29 @@ def _packed_products(R_rows: list[list[int]], dunkl_columns, width: int) -> list
 # ---------------------------------------------------------------------------
 
 
-def echelon(adapter: RingAdapter, rows: list[list]) -> tuple[list[list], list[int]]:
+def echelon(
+    adapter: RingAdapter, rows: list[list], columns=None, relations: dict | None = None
+) -> tuple[list[list], list[int]]:
     """Canonical RREF of a dense matrix of ring values: (dense rows, pivots).
 
+    ``columns`` names the column of each entry of a row, ascending (by
+    default its position).  ``relations`` maps each other column m to the
+    entries w_m, all in columns below m, of a vector e_m + w_m of the
+    matrix's kernel; the rows come back on every column (``extend``).
     Over a field the nonzero entries go to ``sparse_rref``.  Over F_p(c) it
     is the certified modular route (``_modular_rref``) and the rows come back
     with their denominators cleared.
     """
     if not rows:
         return [], []
+    relations = relations or {}
     if adapter.is_generic:
-        rref, pivots = _modular_rref(adapter, rows)
+        rref, pivots = _modular_rref(adapter, rows, columns, relations)
     else:
-        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-        rref, pivots = sparse_rref(adapter.domain, sparse)
-    return [adapter.clear_denominators(row, len(rows[0])) for row in rref], pivots
+        columns = range(len(rows[0])) if columns is None else columns
+        rref, pivots = sparse_rref(adapter.domain, [{c: v for c, v in zip(columns, row) if v} for row in rows])
+        extend(adapter.domain, rref, relations)
+    return [adapter.clear_denominators(row, len(rows[0]) + len(relations)) for row in rref], pivots
 
 
 def rref_scalar_rows(
@@ -282,6 +292,36 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
     return [pivots[c] for c in ordered], ordered
 
 
+def extend(domain: CoeffDomain, rows: list[dict[int, object]], relations: dict[int, dict]) -> None:
+    """Fill in the columns ``relations`` names, in place, from the rows' other entries.
+
+    relations[m] = w_m holds the entries, all in columns below m, of a vector
+    e_m + w_m of ker A, so a row r of A's row space has r_m = -sum_k r_k w_m[k].
+    With m ascending every r_k is final when it is read, so the RREF rows of
+    A restricted to the other columns become the RREF rows of A.  The work
+    runs on columns, as one ``subtract_multiple`` per entry of each w_m.
+    """
+    if not relations:
+        return
+    subtract, prepare = domain.subtract_multiple, domain.prepare
+    cols: dict[int, dict[int, object]] = {}
+    for r, row in enumerate(rows):
+        for k, v in row.items():
+            cols.setdefault(k, {})[r] = v
+    prepared: dict[int, dict] = {}
+    for m in sorted(relations):
+        col: dict[int, object] = {}
+        for k, w in relations[m].items():
+            if k in cols:
+                if k not in prepared:
+                    prepared[k] = prepare(cols[k])
+                subtract(col, w, prepared[k])
+        if col:
+            cols[m] = col
+            for r, v in col.items():
+                rows[r][m] = v
+
+
 def kernel_from_rref(
     domain: CoeffDomain,
     rref_rows: list[dict[int, object]],
@@ -298,14 +338,14 @@ def kernel_from_rref(
     """
     top = ncols - 1
     rows = [{top - c: v for c, v in row.items()} for row in rref_rows]
-    vectors = natural_kernel(domain, rows, [top - c for c in pivot_cols], ncols)
+    vectors = natural_kernel(domain, rows, [top - c for c in pivot_cols], range(ncols))
     return vectors, [min(v) for v in vectors]
 
 
-def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, ncols: int) -> list[dict]:
-    """One kernel vector per free column f: e_f minus column f of the rows."""
+def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, columns) -> list[dict]:
+    """One kernel vector per free column f among ``columns``: e_f minus column f of the rows."""
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    free_cols = [c for c in columns if c not in pivot_set]
     vectors = []
     for f in free_cols:
         v: dict[int, object] = {f: domain.from_int(1)}
@@ -336,39 +376,64 @@ def reduce_by_rref(
 MAX_POINTS = 16  # a sum of degrees >= 64; real matrices need one or two points
 
 
-def _modular_rref(adapter: RingAdapter, rows: list[list]):
+def _modular_rref(adapter: RingAdapter, rows: list[list], columns=None, relations: dict | None = None):
     """(canonical RREF rows over F_p(c), pivots) of a nonempty A over F_p[c].
 
-    A is reduced at the points of ``point_field`` in turn.  The highest rank,
-    then the earliest pivots, wins (specializing c only lowers the ranks of
-    leading column blocks) and disagreeing points are dropped.  Entries are
+    ``rows`` are A on the built columns C (``columns``); ``relations`` gives,
+    for every other column m, the entries w_m right of m of a vector
+    e_m + w_m of ker A (see ``echelon``).  A|C is reduced at the points of
+    ``point_field`` in turn.  A point where a denominator of some w_m
+    vanishes is skipped, and still counted.  The highest rank, then the
+    earliest pivots, wins (specializing c only lowers the ranks of leading
+    column blocks) and disagreeing points are dropped.  Each point's rows are
+    extended to every column by the relations (``extend``).  Entries are
     rebuilt by CRT modulo the product of the kept points' minimal
     polynomials m_j and rational reconstruction, and returned once
     ``_certified`` holds; otherwise another point is added.
 
-    Proof.  Let r be the rank at the kept points, R the rebuilt rows and V
-    the kernel basis read off R, one vector per free column, each vector
-    times the lcm of its denominators.  rank A >= r, as a minor nonzero at a
-    point is nonzero.  Each rebuilt num/den has den(alpha_j) != 0 and
-    reduces to the point's entry, so R(alpha_j) is the RREF of A(alpha_j),
-    V(alpha_j) spans its kernel and every entry of A V^T vanishes at alpha_j:
-    m_j divides it.  The m_j are distinct irreducibles, and the degree bound
-    keeps each entry below the degree of their product, so A V^T = 0.  V has
-    M - r independent vectors in ker A, so rank A = r and ker A = span V.
-    The r rows of R have distinct pivots and annihilate V by construction,
-    so they span the row space of A and, being in RREF form, are its RREF.
+    Proof.  Let r be the rank at the kept points, R the rebuilt rows, R_C
+    their entries in C and V the kernel basis of A|C read off R_C, one vector
+    per free column of C, each vector times the lcm of its denominators.
+    rank A|C >= r, as a minor nonzero at a point is nonzero.  Each rebuilt
+    num/den has den(alpha_j) != 0 and reduces to the point's entry, so
+    R_C(alpha_j) is the RREF of A|C(alpha_j), V(alpha_j) spans its kernel
+    and every entry of A|C V^T vanishes at alpha_j: m_j divides it.  The m_j
+    are distinct irreducibles, and the degree bound keeps each entry below
+    the degree of their product, so A|C V^T = 0.  V has |C| - r independent
+    vectors in ker A|C, so rank A|C = r and ker A|C = span V.  The r rows of
+    R_C have distinct pivots and annihilate V by construction, so they span
+    the row space of A|C and, being in RREF form, are its RREF.
+    Next, take a row rho of R and a relation w = e_m + w_m, and let N be
+    rho . w times the lcm of rho's denominators and the lcm of w's.  N is a
+    polynomial.  At alpha_j every denominator is nonzero, rho(alpha_j) is the
+    extended point row and w(alpha_j) the relation the extension used, so
+    rho(alpha_j) . w(alpha_j) = 0 and m_j divides N.  The second degree
+    bound keeps N below the degree of the product, so rho . w = 0.
+    Last, the restriction to C is injective on the row space of A: a row
+    zero on C is zero at each relation's m in turn, from the right, as
+    w lies in ker A.  So the RREF of A restricted to C is the RREF of A|C,
+    and each of its rows is the one row with those entries on C that
+    annihilates every relation: the row of R.  R is the RREF of A.
     A bad point fails the certificate, so it costs time but never changes
     the answer.
     """
     dom, R = adapter.domain, adapter.ring
-    ncols = len(rows[0])
-    # largest degree per column: the largest int at p = 2, the longest tuple else
-    colmax = [R.deg(max(col, key=None if R.p == 2 else len)) for col in zip(*rows)]
+    relations = relations or {}
+    columns = range(len(rows[0])) if columns is None else columns
+    ncols = len(rows[0]) + len(relations)
+    # largest degree per built column: the largest int at p = 2, the longest tuple else
+    colmax = [-1] * ncols
+    for c, col in zip(columns, zip(*rows)):
+        colmax[c] = R.deg(max(col, key=None if R.p == 2 else len))
+    relation_degrees = [_cleared_degrees(R, {m: dom.one, **w}) for m, w in relations.items()]
     used, best = [], None
     for j in range(MAX_POINTS):
         F = point_field(dom.p, j)
         dom.points_tried += 1
-        at = [{c: x for c, v in enumerate(row) if v and (x := F.evaluate(v))} for row in rows]
+        at_relations = _relations_at(F, relations)
+        if at_relations is None:
+            continue  # a relation has no value at this point
+        at = [{c: x for c, v in zip(columns, row) if v and (x := F.evaluate(v))} for row in rows]
         point_rows, pivots = sparse_rref(F, at)
         key = (-len(pivots), pivots)
         if used and key != best:
@@ -376,28 +441,62 @@ def _modular_rref(adapter: RingAdapter, rows: list[list]):
                 continue  # lower rank or later pivots: a bad point
             used = []
         best = key
+        extend(F, point_rows, at_relations)
         used.append((F, point_rows))
         rebuilt = _reconstruct(R, used)
         if rebuilt is not None and _certified(
-            R, colmax, rebuilt, natural_kernel(dom, rebuilt, pivots, ncols), used
+            R, colmax, rebuilt, natural_kernel(dom, rebuilt, pivots, columns), used, relation_degrees
         ):
             return rebuilt, pivots
     raise ArithmeticError(f"no certified elimination after {MAX_POINTS} points")
 
 
-def _certified(R, colmax, rebuilt, kernel, used) -> bool:
-    """Degree bound on A V^T, then agreement with the rows at every point."""
+def _relations_at(F, relations: dict[int, dict]):
+    """The relations' entries at the point of F, or None if a denominator vanishes there."""
+    out = {}
+    for m, w in relations.items():
+        at = {}
+        for k, (num, den) in w.items():
+            d = F.evaluate(den)
+            if not d:
+                return None
+            if x := F.evaluate(num):
+                at[k] = F.div(x, d)
+        out[m] = at
+    return out
+
+
+def _cleared_degrees(R, entries: dict) -> dict[int, int]:
+    """{col: degree of the entry times the lcm of the entries' denominators}."""
+    den = R.one
+    for _, d in entries.values():
+        if d != R.one:
+            den = R.mul(den, R.divmod(d, R.gcd(den, d))[0])
+    top = R.deg(den)
+    return {c: R.deg(num) + top - R.deg(d) for c, (num, d) in entries.items()}
+
+
+def _certified(R, colmax, rebuilt, kernel, used, relation_degrees=()) -> bool:
+    """Degree bound on A V^T, on each row times each relation, then agreement
+    with the rows at every point (see ``_modular_rref``)."""
+    budget = sum(F.k for F, _ in used)
     top = -1
     for v in kernel:
-        den = R.one
-        for _, d in v.values():
-            if d != R.one:
-                den = R.mul(den, R.divmod(d, R.gcd(den, d))[0])
-        for c, (num, d) in v.items():
+        for c, e in _cleared_degrees(R, v).items():
             if colmax[c] >= 0:
-                top = max(top, colmax[c] + R.deg(num) + R.deg(den) - R.deg(d))
-    if top >= sum(F.k for F, _ in used):
+                top = max(top, colmax[c] + e)
+    if top >= budget:
         return False
+    if relation_degrees:
+        rowmax: dict[int, int] = {}  # per column, the largest cleared degree over the rows
+        for row in rebuilt:
+            for c, e in _cleared_degrees(R, row).items():
+                if e > rowmax.get(c, -1):
+                    rowmax[c] = e
+        for degrees in relation_degrees:
+            for c, e in degrees.items():
+                if c in rowmax and rowmax[c] + e >= budget:
+                    return False
     for F, rows in used:
         if len(rebuilt) != len(rows):
             return False

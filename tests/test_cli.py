@@ -99,10 +99,13 @@ def test_t1_record_reports_per_degree_timing():
     # the run ends at the first zero of L, degree 11
     assert [row["degree"] for row in per_degree] == list(range(1, 12))
     for row in per_degree:
-        assert set(row) == {"degree", "M", "L", "points", "seconds"}
+        assert set(row) == {"degree", "M", "live", "L", "points", "seconds"}
         assert [row["M"], row["L"]] == [rec["dims"][str(row["degree"])][i] for i in (0, 2)]
-    # every degree up to the first zero of L is eliminated at one point or more
-    assert all(row["points"] >= 1 for row in per_degree)
+        assert row["L"] <= row["live"] <= row["M"]
+    # every degree before the first zero of L is eliminated at one point or
+    # more; at the first zero no column is live, so no point is tried
+    assert all(row["points"] >= 1 for row in per_degree[:-1])
+    assert per_degree[-1]["live"] == per_degree[-1]["points"] == 0
     # everything outside timing is pinned under the cache epoch: an answer
     # change fails here until FORMAT_VERSION moves.  The (2,5) record is the
     # one the fraction-free elimination wrote (sha256 11b5b994...), less its

@@ -164,13 +164,24 @@ def test_gram_recursion_matches_pairing_tree(p, t, n, d, c, seed):
     d=st.integers(1, 4),
     c=st.one_of(st.just("generic"), st.integers(0, 4)),
 )
+@example(p=2, t=0, n=5, d=4, c=1)  # no live column: ker B[4] = M[4]
+@example(p=2, t=1, n=4, d=4, c="generic")  # one live column, and L[4] = 0
+@example(p=2, t=1, n=6, d=4, c="generic")  # 10 of 70 columns live
+@example(p=5, t=1, n=4, d=7, c=0)  # 18 of 36 columns live
 def test_stacked_rows_follow_the_slot_symmetry(p, t, n, d, c):
-    # R D_1 with its columns permuted by s = (1 i) against R D_i composed for every slot
+    # R D_1 with its columns permuted by s = (1 i) against R D_i composed for
+    # every slot, on every column; then the engine's degree, built and reduced
+    # on the live columns and extended by the relations, against the same stack
     ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
-    R = GradedKernel(ctx).compute_degree(d - 1).constraint_rows
+    gk = GradedKernel(ctx)
+    R = gk.compute_degree(d - 1).constraint_rows
     adapter, ncols = linalg.RingAdapter(ctx.domain), len(monomials_of_degree(n - 1, d))
     every = [row for i in range(1, n) for row in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
-    assert reduce_from_the_right(adapter, _stacked_rows(R, d, ctx), ncols) == reduce_from_the_right(adapter, every, ncols)
+    full = reduce_from_the_right(adapter, every, range(ncols), {}, ncols)
+    assert reduce_from_the_right(adapter, _stacked_rows(R, d, ctx, range(ncols)), range(ncols), {}, ncols) == full
+    data = gk.compute_degree(d)
+    assert data.dim_l <= data.live <= ncols
+    assert (data.kernel_rows, data.kernel_pivots, data.constraint_rows) == full
 
 
 def test_gram_oracle_degree_zero_and_limit():

@@ -20,7 +20,7 @@ def field_fraction_route(dom, A):
     R, ncols = dom.ring, len(A[0])
     rows = [{j: (v, R.one) for j, v in enumerate(row) if v != R.zero} for row in A]
     rref, pivots = linalg.sparse_rref(dom, rows)
-    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, ncols))
+    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)))
     return linalg.sparse_rref(dom, reversed_columns(rows, ncols)), kernel
 
 
@@ -147,7 +147,7 @@ def canonical_rrefs(draw):
 
 def reduced_natural_kernel(dom, rows, pivots, ncols):
     """The kernel read off the RREF from the left: reduce one vector per free column."""
-    vectors = linalg.natural_kernel(dom, rows, pivots, ncols)
+    vectors = linalg.natural_kernel(dom, rows, pivots, range(ncols))
     if not isinstance(dom, RationalFunctionField) or not vectors:
         return linalg.sparse_rref(dom, vectors)
     adapter = linalg.RingAdapter(dom)
@@ -214,6 +214,37 @@ def test_entries_past_one_point_need_crt(p, coeffs):
     assert modular_route(dom, A) == field_fraction_route(dom, A)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_point_where_a_relation_has_no_value_is_skipped(p):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    m0 = point_field(p, 0).modulus
+    # A = [m0, -1]: built on column 0 alone, with e_1 + e_0 / m0 in its kernel
+    relations = {1: {0: dom.make(R.one, m0)}}
+    rows, pivots = linalg.echelon(linalg.RingAdapter(dom), [[R.one]], [0], relations)
+    # 1/m0 has no value at point 0, which is skipped and counted; points 1
+    # and 2 rebuild the denominator of degree k
+    assert dom.points_tried == 3
+    assert (rows, pivots) == linalg.echelon(linalg.RingAdapter(CoeffDomain.generic(p)), [[m0, R.neg(R.one)]])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_relation_past_one_point_needs_a_second(p):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    F = point_field(p, 0)
+    c = R.from_coeffs((0, 1))
+    w = R.add(R.mul(c, F.modulus), R.one)  # degree k + 1, and 1 at point 0
+    # A is the identity on columns 0 and 1, with e_2 + w e_0 + c e_1 in its kernel
+    relations = {2: {0: (w, R.one), 1: (c, R.one)}}
+    rows, pivots = linalg.echelon(linalg.RingAdapter(dom), [[R.one, R.zero], [R.zero, R.one]], [0, 1], relations)
+    # point 0 rebuilds -w as -1, and only the degree bound on each row times
+    # each relation rejects it there
+    assert dom.points_tried == 2
+    full = [[R.one, R.zero, R.neg(w)], [R.zero, R.one, R.neg(c)]]
+    assert (rows, pivots) == linalg.echelon(linalg.RingAdapter(CoeffDomain.generic(p)), full)
+
+
 def _one_point(dom, A):
     """(colmax, used, rebuilt rows, pivots) of the route at the first point."""
     R = dom.ring
@@ -235,7 +266,7 @@ def test_certificate_rejects_a_perturbed_entry(p):
     ncols = len(A[0])
 
     def certified(rows):
-        partners = linalg.natural_kernel(dom, rows, pivots, ncols)
+        partners = linalg.natural_kernel(dom, rows, pivots, range(ncols))
         return linalg._certified(R, colmax, rows, partners, used)
 
     assert certified(rebuilt)
@@ -252,7 +283,7 @@ def test_certificate_needs_the_degree_bound():
     c = R.from_coeffs((0, 1))
     A = [[R.one, c, R.mul(c, c)], [c, R.one, R.one]]
     colmax, used, rebuilt, pivots = _one_point(dom, A)
-    partners = linalg.natural_kernel(dom, rebuilt, pivots, 3)
+    partners = linalg.natural_kernel(dom, rebuilt, pivots, range(3))
     assert linalg._certified(R, colmax, rebuilt, partners, used)
     # the same rows, claimed for a matrix of degree 16 = the point's budget
     assert not linalg._certified(R, [16] * 3, rebuilt, partners, used)
