@@ -358,7 +358,7 @@ def cmd_selftest(args) -> int:
             failures.append(line)
 
     rng = random.Random(11)
-    core_checked, core_bad = 0, []
+    core_checked, core_bad, col_checked, col_bad = 0, [], 0, []
     for p, t, n in [(2, 0, 3), (3, 0, 4), (2, 1, 3), (3, 1, 4)]:
         ctx = DunklContext.make(n=n, p=p, t=t)
         rep = check_commutators(ctx, degree=3, trials=4, seed=11)
@@ -372,8 +372,17 @@ def cmd_selftest(args) -> int:
                 core_checked += 1
                 if dunkl_z(f, i, ctx) != dunkl(f, i, ctx).sub(dunkl(f, n, ctx)):
                     core_bad.append(f"(p={p}, t={t}, n={n}, i={i}, f={format_poly(f)})")
+        dom, adapter = ctx.domain, linalg.RingAdapter(ctx.domain)
+        for d, i in ((d, i) for d in (1, 2, 3) for i in range(1, n)):  # monomials in reverse grlex order
+            monos, prev = monomials_of_degree(n - 1, d)[::-1], monomials_of_degree(n - 1, d - 1)
+            for m, col in zip(monos, dunkl_columns(d, i, ctx, monos)):
+                f, col_checked = ReducedPoly(dom, n - 1, {m: dom.one}), col_checked + 1
+                got = ReducedPoly(dom, n - 1, {prev[r]: adapter.scalar_div(v, adapter.one) for r, v in col.items()})
+                if got != dunkl(f, i, ctx).sub(dunkl(f, n, ctx)):
+                    col_bad.append(f"(p={p}, t={t}, n={n}, i={i}, m={m})")
     detail = core_bad[0] if core_bad else ""
     report(f"dunkl core vs divided differences ({core_checked} images)", not core_bad, detail)
+    report(f"dunkl columns vs divided differences ({col_checked} columns)", not col_bad, "".join(col_bad[:1]))
 
     elim_bad = []
     for p, rank, nrows, ncols in [(2, 2, 4, 5), (2, 3, 6, 7), (2, 1, 3, 6), (3, 2, 5, 4), (3, 3, 4, 7)]:

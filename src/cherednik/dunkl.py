@@ -15,9 +15,10 @@ nonincreasing U-exponents: a run of equal U-exponents e is treated at one
 of its slots, and each output term goes to its re-sorted key with weight
 mu_e', the number of U-slots of the output carrying its new exponent e'
 (an integer mod p, so no stabilizer order is ever divided by).
-``split_orbits`` splits each orbit by the value at the first orbit slot.  ``dunkl`` applies the single
-operator D_{y_i} through divided differences and is kept as the independent
-oracle for the core.
+``split_orbits`` splits each orbit by the value at the first orbit slot.
+The engine and the Gram oracle build each Dunkl matrix in one core pass, a
+group per monomial (``kernel.dunkl_columns``).  ``dunkl`` applies D_{y_i}
+through divided differences, the oracle for the core and for the matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .fields import CoeffDomain, PrimeField, RationalFunctionField
-from .poly import Monomial, ReducedPoly, random_homogeneous
+from .poly import Monomial, ReducedPoly, monomials_of_degree, random_homogeneous
 from .action import Transposition, _neg_sum_power_mod, apply_transposition, reduced_variable
 
 log = logging.getLogger(__name__)
@@ -127,14 +128,15 @@ def _settle(out: dict, norm) -> dict:
 
 
 class Packed(NamedTuple):
-    """Raw n-slot terms in groups (denominator, {key: raw ring value}).
+    """Raw n-slot terms in groups (tag, {key: raw ring value}).
 
     A key packs the exponents m_1..m_n into one int, nb bytes per slot:
     slot k sits at bits 8 nb (k-1) and up.  ``lift_raw`` picks nb for the
     degree of its input, and no operator raises the degree, so no exponent
-    overflows its slot.  D is F_p(c)-linear, so each denominator group of an
-    F_p(c) polynomial runs through the core on its numerators alone; the
-    other domains form one group with denominator None.
+    overflows its slot.  The core runs each group on its own.  For ``lift_raw``
+    and ``reduce_raw`` the tag is a denominator: D is F_p(c)-linear, so each
+    denominator's numerators form a group; other domains have one, tagged
+    None.  In ``kernel.dunkl_columns`` a group is a monomial, tagged by column.
     """
 
     nb: int
@@ -146,6 +148,12 @@ def pack_monomial(m: Monomial, nb: int) -> int:
     if nb == 1:
         return int.from_bytes(bytes(m), "little")
     return int.from_bytes(b"".join(e.to_bytes(nb, "little") for e in m), "little")
+
+
+@lru_cache(maxsize=None)
+def packed_index(nvars: int, d: int, nb: int) -> dict[int, int]:
+    """``monomial_index`` of degree d by packed key, nb bytes per slot."""
+    return {pack_monomial(m, nb): k for k, m in enumerate(monomials_of_degree(nvars, d))}
 
 
 def unpack_monomial(key: int, slots: int, nb: int) -> Monomial:
@@ -380,15 +388,13 @@ def _packed_neg_sum_power(nvars: int, e: int, p: int, nb: int) -> tuple[tuple[in
     return tuple((pack_monomial(m, nb), k) for m, k in _neg_sum_power_mod(nvars, e, p))
 
 
-def reduce_raw(f: Packed, ctx: DunklContext) -> ReducedPoly:
-    """Sum of the packed groups, slot n reduced, as one reduced polynomial."""
-    dom, nv, nb = ctx.domain, ctx.nvars, f.nb
-    ring = _ring(dom)
+def reduce_groups(f: Packed, ctx: DunklContext):
+    """Each group of f as (tag, {packed (n-1)-slot key: raw value}), slot n reduced."""
+    nv, nb, ring = ctx.nvars, f.nb, _ring(ctx.domain)
     add, mul, of_int, zero = ring.add, ring.mul, ring.of_int, ring.zero
     width = 8 * nb * nv
     low = (1 << width) - 1
-    total = None
-    for den, terms in f.groups:
+    for tag, terms in f.groups:
         out: dict[int, object] = {}
         get = out.get
         for key, v in terms.items():
@@ -396,14 +402,18 @@ def reduce_raw(f: Packed, ctx: DunklContext) -> ReducedPoly:
             if not u:
                 out[rest] = add(get(rest, zero), v)
                 continue
-            for xm, k in _packed_neg_sum_power(nv, u, dom.p, nb):
+            for xm, k in _packed_neg_sum_power(nv, u, ring.p, nb):
                 kk = rest + xm
                 out[kk] = add(get(kk, zero), v if k == 1 else mul(v, of_int(k)))
-        out = _settle(out, ring.norm)
-        if nb == 1:
-            keys = [tuple(k.to_bytes(nv, "little")) for k in out]
-        else:
-            keys = [unpack_monomial(k, nv, nb) for k in out]
+        yield tag, _settle(out, ring.norm)
+
+
+def reduce_raw(f: Packed, ctx: DunklContext) -> ReducedPoly:
+    """Sum of the packed groups, slot n reduced, as one reduced polynomial."""
+    dom, nv, nb = ctx.domain, ctx.nvars, f.nb
+    total = None
+    for den, out in reduce_groups(f, ctx):
+        keys = [unpack_monomial(k, nv, nb) for k in out]
         if den is None:
             vals = out.values()
         elif den == dom.ring.one:

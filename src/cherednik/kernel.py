@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from .fields import CoeffDomain, RationalFunctionField, Scalar
 from .poly import Monomial, ReducedPoly, monomial_index, monomials_of_degree
 from .action import Transposition, apply_transposition
-from .dunkl import DunklContext, dunkl_z, dunkl_z_raw, lift_raw, reduce_raw, split_orbits
+from .dunkl import DunklContext, Packed, dunkl_z, dunkl_z_raw, lift_raw, pack_monomial, packed_index, reduce_groups, reduce_raw, split_orbits
 from . import linalg
 
 
@@ -70,24 +70,20 @@ class ResourceLimitError(RuntimeError):
 def dunkl_columns(d: int, i: int, ctx: DunklContext, monomials=None) -> list[dict[int, object]]:
     """Matrix of D_{y_i - y_n} from degree d to d-1, column by column.
 
-    Column k is dunkl_z of the k-th of ``monomials`` (by default every
-    degree-d monomial) as {row: ring value} in the degree-(d-1) basis; over
-    F_p(c) every value is a polynomial in c.
+    Column k is the image of the k-th of ``monomials`` (by default every
+    degree-d monomial) as {row: ring value} in the degree-(d-1) basis.  One
+    core pass builds every column, monomial k as group k of denominator 1,
+    so over F_p(c) every value is in F_p[c].  Tests and ``cherednik
+    selftest`` check the columns against divided differences.
     """
-    dom = ctx.domain
-    nv = ctx.nvars
-    idx_prev = monomial_index(nv, d - 1)
-    ring_one = dom.ring.one if isinstance(dom, RationalFunctionField) else None
-    cols = []
-    for m in monomials_of_degree(nv, d) if monomials is None else monomials:
-        col = {}
-        for mm, v in dunkl_z(ReducedPoly(dom, nv, {m: dom.one}), i, ctx).terms.items():
-            if ring_one is not None:
-                if v[1] != ring_one:
-                    raise AssertionError("Dunkl image must be polynomial in c")
-                v = v[0]
-            col[idx_prev[mm]] = v
-        cols.append(col)
+    nv, dom = ctx.nvars, ctx.domain
+    monos = monomials_of_degree(nv, d) if monomials is None else monomials
+    nb = max(1, (d.bit_length() + 7) // 8)
+    one = dom.ring.one if isinstance(dom, RationalFunctionField) else dom.one
+    f = Packed(nb, [(k, {pack_monomial(m, nb): one}) for k, m in enumerate(monos)])
+    rows, cols = packed_index(nv, d - 1, nb), [{} for _ in monos]
+    for k, image in reduce_groups(dunkl_z_raw(f, i, ctx), ctx):
+        cols[k] = {rows[key]: v for key, v in image.items()}
     return cols
 
 

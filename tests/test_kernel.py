@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from cherednik import linalg
 from cherednik.fields import CoeffDomain, Scalar
 from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
-from cherednik.dunkl import DunklContext, reduce_raw
+from cherednik.dunkl import DunklContext, dunkl, reduce_raw
 from cherednik.series import baby_verma_series, computed_hilbert
 from cherednik.kernel import (
     GradedKernel,
@@ -182,6 +182,40 @@ def test_stacked_rows_follow_the_slot_symmetry(p, t, n, d, c):
     data = gk.compute_degree(d)
     assert data.dim_l <= data.live <= ncols
     assert (data.kernel_rows, data.kernel_pivots, data.constraint_rows) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(3, 6),
+    d=st.integers(1, 4),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+    seed=st.integers(0, 10**9),
+)
+@example(p=3, t=1, n=2, d=5, c="generic", seed=0)  # one operator slot
+@example(p=2, t=0, n=4, d=3, c=0, seed=1)  # D = t (d_i - d_n) = 0: every column empty
+@example(p=2, t=1, n=3, d=300, c="generic", seed=2)  # exponents past 255: two bytes a slot
+@example(p=3, t=0, n=3, d=300, c=1, seed=3)  # the same over F_3
+def test_dunkl_columns_match_divided_differences(p, t, n, d, c, seed):
+    # every column of the one-pass build against D_{y_i} - D_{y_n} by divided
+    # differences, on a subset of the monomials out of grlex order, as
+    # _stacked_rows passes them
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    dom, adapter, rng = ctx.domain, linalg.RingAdapter(ctx.domain), random.Random(seed)
+    monos, prev = monomials_of_degree(n - 1, d), monomials_of_degree(n - 1, d - 1)
+    subset = rng.sample(monos, min(len(monos), 12))
+    if subset == sorted(subset, key=monos.index):
+        subset.reverse()
+    for i in range(1, n):
+        cols = dunkl_columns(d, i, ctx, subset)
+        assert len(cols) == len(subset)
+        for m, col in zip(subset, cols):
+            f = ReducedPoly(dom, n - 1, {m: dom.one})
+            got = ReducedPoly(dom, n - 1, {prev[r]: adapter.scalar_div(v, adapter.one) for r, v in col.items()})
+            assert got == dunkl(f, i, ctx).sub(dunkl(f, n, ctx))
+            if t == 0 and c != "generic" and c % p == 0:
+                assert not col
 
 
 def test_gram_oracle_degree_zero_and_limit():
