@@ -254,7 +254,7 @@ class CoeffDomain:
         raise NotImplementedError
 
     def prepare(self, prow: dict) -> dict:
-        """A final pivot row in the form ``subtract_multiple`` reads."""
+        """A pivot row in the form ``subtract_multiple`` reads, until the row changes."""
         return prow
 
     def subtract_multiple(self, row: dict, fac, prow: dict) -> None:
@@ -332,6 +332,15 @@ class PrimeField(CoeffDomain):
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def subtract_multiple(self, row: dict, fac, prow: dict) -> None:
+        """row -= fac * prow in place, each entry inline."""
+        p, get = self.p, row.get
+        for k, v in prow.items():
+            if nv := (get(k, 0) - fac * v) % p:
+                row[k] = nv
+            else:
+                row.pop(k, None)
 
     def c_scalar(self):
         return self.c_value

@@ -11,15 +11,17 @@ The kernel engine needs these things, all deterministic:
   * that RREF from A on its live columns only, extended to the others by
     known vectors of ker A (``extend``).
 
-One routine eliminates: ``sparse_rref``, over a field, on sparse rows.
-Over F_p it reduces the stacked matrix itself.  Over F_p(c) an F_p[c]
-matrix is evaluated at points of small table fields, reduced there by the
-same routine, rebuilt by CRT and rational reconstruction and certified
-exactly by a degree bound (``_modular_rref`` gives the proof).  The field
-supplies the inner row update (``CoeffDomain.subtract_multiple``) on pivot
-rows it has put in its own form once (``prepare``): a table field keeps a
-pivot row as logs, so each entry of row - f * pivot is one exp lookup and an
-XOR at p = 2, or an inline Zech step at odd p.
+One routine eliminates: ``sparse_rref``, Gauss-Jordan over a field on
+sparse rows.  Its pivot rows stay reduced, so a redundant row is cleared by
+one row operation per pivot column in its support.  Over F_p it reduces the
+stacked matrix itself.  Over F_p(c) an F_p[c] matrix is evaluated at points
+of small table fields, reduced there by the same routine, rebuilt by CRT
+and rational reconstruction and certified exactly by a degree bound
+(``_modular_rref`` gives the proof).  The field supplies the inner row
+update (``CoeffDomain.subtract_multiple``) on pivot rows in its own form
+(``prepare``): F_p updates each entry inline; a table field keeps a pivot
+row as logs, so each entry of row - f * pivot is one exp lookup and an XOR
+at p = 2, or an inline Zech step at odd p.
 Characteristic-2 rows are packed into single big integers (entries are
 F_2[c] bitmasks laid side by side) so that the inner product against a
 sparse column is a handful of shifts and XORs.  At odd p an entry becomes an
@@ -262,32 +264,36 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
     """Canonical RREF of sparse field-scalar rows; returns (rows, pivot cols).
 
     Rows are dicts {column index: scalar value}; the column order is the
-    integer order (graded-lex descending monomial rank).  A row operation
-    that leaves the lead entry in place means the field's arithmetic is
-    wrong: it raises ArithmeticError rather than loop.
+    integer order (graded-lex descending monomial rank).  Gauss-Jordan: a new
+    pivot's column is cleared from the earlier pivot rows, so a reduced pivot
+    row touches no other pivot column, and a row takes one row operation per
+    pivot column in its support.  A pivot row that changes drops its
+    ``prepare`` form.  A row operation that leaves its pivot column nonzero
+    means the field's arithmetic is wrong: it raises ArithmeticError.
     """
     subtract, prepare = domain.subtract_multiple, domain.prepare
     pivots: dict[int, dict[int, object]] = {}
     prepared: dict[int, dict[int, object]] = {}
+
+    def clear(row, pc):
+        if pc not in prepared:
+            prepared[pc] = prepare(pivots[pc])
+        subtract(row, row[pc], prepared[pc])
+        if pc in row:
+            raise ArithmeticError(f"a row operation left column {pc} nonzero")
+
     for row in rows:
         row = dict(row)
-        while row:
+        for pc in [k for k in row if k in pivots]:
+            clear(row, pc)
+        if row:
             lead = min(row)
-            if lead not in pivots:
-                inv = domain.inv(row[lead])
-                pivots[lead] = {k: domain.mul(v, inv) for k, v in row.items()}
-                prepared[lead] = prepare(pivots[lead])
-                break
-            subtract(row, row[lead], prepared[lead])
-            if lead in row:
-                raise ArithmeticError(f"a row operation left column {lead} nonzero")
-    # back-substitution across pivot rows; pivot pc is final once every
-    # pivot to its right has been subtracted from it
-    for pc in sorted(pivots, reverse=True):
-        prow = prepare(pivots[pc])
-        for qc, qrow in pivots.items():
-            if qc != pc and pc in qrow:
-                subtract(qrow, qrow[pc], prow)
+            inv = domain.inv(row[lead])
+            pivots[lead] = {k: domain.mul(v, inv) for k, v in row.items()}
+            for qc, qrow in pivots.items():
+                if qc != lead and lead in qrow:
+                    clear(qrow, lead)
+                    prepared.pop(qc, None)
     ordered = sorted(pivots)
     return [pivots[c] for c in ordered], ordered
 

@@ -162,6 +162,74 @@ def test_kernel_from_the_right_matches_the_reduced_natural_kernel(case):
     assert linalg.kernel_from_rref(dom, right, right_pivots, ncols) == reduced_natural_kernel(dom, rows, pivots, ncols)
 
 
+def dense_gauss_jordan(F, rows, ncols):
+    """Textbook Gauss-Jordan on dense lists: the reference for ``sparse_rref``."""
+    A = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(A)) if not F.is_zero(A[i][j])), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = F.inv(A[r][j])
+        A[r] = [F.mul(inv, x) for x in A[r]]
+        for i, row in enumerate(A):
+            if i != r and not F.is_zero(f := row[j]):
+                A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, A[r])]
+        pivots.append(j)
+    return [{j: x for j, x in enumerate(row) if not F.is_zero(x)} for row in A[: len(pivots)]], pivots
+
+
+@st.composite
+def redundant_stacks(draw):
+    """(field, sparse rows, ncols): a few base rows stacked with duplicates,
+    scalar multiples, zero rows and combinations of them, shuffled."""
+    p, j = draw(st.sampled_from([(2, None), (3, None), (5, None), (7, None), (2, 0), (3, 0)]))
+    F = PrimeField(p) if j is None else point_field(p, j)
+    q = p if j is None else F.q
+    scalar, nonzero = st.one_of(st.just(0), st.integers(1, q - 1)), st.integers(1, q - 1)
+    ncols = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    stack = list(base)
+    for how in draw(st.lists(st.sampled_from(["duplicate", "multiple", "zero", "combination"]), max_size=8)):
+        if how == "zero":
+            stack.append([0] * ncols)
+        elif how == "duplicate":
+            stack.append(list(draw(st.sampled_from(base))))
+        elif how == "multiple":
+            f = draw(nonzero)
+            stack.append([F.mul(f, x) for x in draw(st.sampled_from(base))])
+        else:
+            row = [0] * ncols
+            for b in base:
+                f = draw(scalar)
+                row = [F.add(x, F.mul(f, y)) for x, y in zip(row, b)]
+            stack.append(row)
+    stack = draw(st.permutations(stack))
+    return F, [{j: x for j, x in enumerate(row) if x} for row in stack], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_stacks())
+def test_sparse_rref_matches_dense_gauss_jordan(case):
+    F, rows, ncols = case
+    before = [dict(row) for row in rows]
+    assert linalg.sparse_rref(F, rows) == dense_gauss_jordan(F, rows, ncols)
+    assert rows == before
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sparse_rref_prepares_a_changed_pivot_row_again(p):
+    # row 0 becomes pivot 0, and its copy, row 1, is cleared by pivot row 0
+    # in its prepared (log) form; row 2 becomes pivot 1, whose column is then
+    # cleared from pivot row 0; row 3 reduces against the changed pivot row
+    # 0, which must not be read in its old log form
+    F = point_field(p, 0)
+    rows = [{0: 1, 1: 2, 3: 1}, {0: 1, 1: 2, 3: 1}, {1: 1, 2: 3, 3: 1}, {0: 1, 2: 5}]
+    assert linalg.sparse_rref(F, rows) == dense_gauss_jordan(F, rows, 4)
+
+
 class OffByOne(PrimeField):
     """F_p whose sums are one too large, so that a - a is never zero."""
 
@@ -169,6 +237,7 @@ class OffByOne(PrimeField):
         return (a + b + 1) % self.p
 
     sub = CoeffDomain.sub  # subtraction goes through the broken sum too
+    subtract_multiple = CoeffDomain.subtract_multiple  # and so does the row update
 
 
 def test_sparse_rref_rejects_a_field_that_does_not_clear_the_pivot():
