@@ -290,16 +290,22 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
 
 
+def _int_list(text: str) -> list[int]:
+    """``--p-list``/``--n-list``: comma-separated integers, empty items skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
-    ps = [int(x) for x in args.p_list.split(",") if x.strip()] if args.p_list else []
-    ns = [int(x) for x in args.n_list.split(",") if x.strip()] if args.n_list else []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = RunCache(args.cache_dir)
     rows = []
     c = _default_c(args.t, args.c)
-    for p in ps:
-        for n in ns:
+    for p in args.p_list:
+        for n in args.n_list:
             try:
                 record = _cached_cell(cache, p, n, args.t, c, args.max_degree, args.budget_seconds)[0]
             except Exception as exc:  # record the failure, keep sweeping
@@ -372,7 +378,7 @@ def cmd_selftest(args) -> int:
                 core_checked += 1
                 if dunkl_z(f, i, ctx) != dunkl(f, i, ctx).sub(dunkl(f, n, ctx)):
                     core_bad.append(f"(p={p}, t={t}, n={n}, i={i}, f={format_poly(f)})")
-        dom, adapter = ctx.domain, linalg.RingAdapter(ctx.domain)
+        dom, adapter = ctx.domain, linalg.RingAdapter.of(ctx.domain)
         for d, i in ((d, i) for d in (1, 2, 3) for i in range(1, n)):  # monomials in reverse grlex order
             monos, prev = monomials_of_degree(n - 1, d)[::-1], monomials_of_degree(n - 1, d - 1)
             for m, col in zip(monos, dunkl_columns(d, i, ctx, monos)):
@@ -387,7 +393,7 @@ def cmd_selftest(args) -> int:
     elim_bad = []
     for p, rank, nrows, ncols in [(2, 2, 4, 5), (2, 3, 6, 7), (2, 1, 3, 6), (3, 2, 5, 4), (3, 3, 4, 7)]:
         dom = CoeffDomain.generic(p)
-        R, adapter = dom.ring, linalg.RingAdapter(dom)
+        R, adapter = dom.ring, linalg.RingAdapter.of(dom)
         rand = [[R.from_coeffs([rng.randrange(p) for _ in range(3)]) for _ in range(ncols)] for _ in range(rank + nrows)]
         A = [[reduce(R.add, (R.mul(a, b[j]) for a, b in zip(row, rand[:rank])), R.zero) for j in range(ncols)] for row in rand[rank:]]
         want = linalg.sparse_rref(dom, [{j: (v, R.one) for j, v in enumerate(r) if v} for r in A])
@@ -427,7 +433,7 @@ def cmd_selftest(args) -> int:
     slot_bad, live_bad, live_degrees = [], [], 0
     for p, t, n, c in [(2, 0, 5, 1), (3, 1, 4, "generic"), (5, 1, 4, 0), (2, 1, 6, "generic")]:
         ctx = DunklContext.make(n=n, p=p, t=t, c=c)
-        gk, adapter = GradedKernel(ctx), linalg.RingAdapter(ctx.domain)
+        gk, adapter = GradedKernel(ctx), linalg.RingAdapter.of(ctx.domain)
         for d in range(1, 8):
             R, ncols = gk.compute_degree(d - 1).constraint_rows, len(monomials_of_degree(n - 1, d))
             every = [r for i in range(1, n) for r in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
@@ -447,7 +453,7 @@ def cmd_selftest(args) -> int:
     for p, t, n, c, d in [(2, 0, 4, 1, 4), (3, 1, 4, "generic", 3), (5, 1, 3, 0, 5), (2, 1, 3, "generic", 5)]:
         ctx = DunklContext.make(n=n, p=p, t=t, c=c)
         dom, rows, gram = ctx.domain, monomials_of_degree(n - 1, d), gram_rows(d, ctx)
-        adapter = linalg.RingAdapter(dom)
+        adapter = linalg.RingAdapter.of(dom)
         for k in rng.sample(range(len(rows)), 2):
             tree = _pairings(ReducedPoly(dom, n - 1, {rows[k]: dom.one}), d, ctx)
             if [adapter.scalar_div(g[k], adapter.one) for g in gram] != [tree.get(a, dom.zero) for a in rows]:
@@ -537,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     ck.set_defaults(func=cmd_check)
 
     sw = sub.add_parser("sweep", help="grid of hilbert runs with CSV summary")
-    sw.add_argument("--p-list", type=str, default="")
-    sw.add_argument("--n-list", type=str, default="")
+    sw.add_argument("--p-list", type=_int_list, default=[])
+    sw.add_argument("--n-list", type=_int_list, default=[])
     sw.add_argument("--t", type=int, required=True, choices=(0, 1))
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)

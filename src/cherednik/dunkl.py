@@ -5,16 +5,18 @@ D_{y_i} = t * d/dx_i - c * sum_{k != i} (x_i - x_k)^{-1} (1 - s_{ik})
 Downstream code uses the operator basis {D_{y_i - y_n} : i = 1..n-1}.  One
 term-level core applies D_{y_i - y_n} to unreduced n-slot terms with raw
 ring coefficients (ints for F_p, numerators for F_p(c)) and the context's
-own c.  Each monomial is one int key holding its n exponents in fixed-width
-slots (``Packed``), so a shift of exponents is an int addition.  ``dunkl_z``
-lifts a reduced representative to n slots, runs the core and reduces slot n
-through x_n = -(x_1 + ... + x_{n-1}); the membership walk stays upstairs and
-reduces only its leaves.  On a Sym(U)-invariant polynomial for a set U of
-orbit slots the core works on orbit representatives, the terms with
-nonincreasing U-exponents: a run of equal U-exponents e is treated at one
-of its slots, and each output term goes to its re-sorted key with weight
-mu_e', the number of U-slots of the output carrying its new exponent e'
-(an integer mod p, so no stabilizer order is ever divided by).
+own c, in the arithmetic of the domain's one ``fields.RingAdapter``, which
+compose and elimination read too.  Each monomial is one int key holding its
+n exponents in fixed-width slots (``Packed``), so a shift of exponents is an
+int addition.  ``dunkl_z`` lifts a reduced representative to n slots, runs
+the core and reduces slot n through x_n = -(x_1 + ... + x_{n-1}); the
+membership walk stays upstairs and reduces only its leaves.  On a
+Sym(U)-invariant polynomial for a set U of orbit slots the core works on
+orbit representatives, the terms with nonincreasing U-exponents: a run of
+equal U-exponents e is treated at one of its slots, and each output term
+goes to its re-sorted key with weight mu_e', the number of U-slots of the
+output carrying its new exponent e' (an integer mod p, so no stabilizer
+order is ever divided by).
 ``split_orbits`` splits each orbit by the value at the first orbit slot.
 The engine and the Gram oracle build each Dunkl matrix in one core pass, a
 group per monomial (``kernel.dunkl_columns``).  ``dunkl`` applies D_{y_i}
@@ -24,12 +26,11 @@ through divided differences, the oracle for the core and for the matrices.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .fields import CoeffDomain, PrimeField, RationalFunctionField
+from .fields import CoeffDomain, RationalFunctionField, RingAdapter
 from .poly import Monomial, ReducedPoly, monomials_of_degree, random_homogeneous
 from .action import Transposition, _neg_sum_power_mod, apply_transposition, reduced_variable
 
@@ -83,43 +84,6 @@ class DunklContext:
 # ---------------------------------------------------------------------------
 
 
-class _Ring(NamedTuple):
-    """Raw coefficient arithmetic of one domain, bound once for the core.
-
-    Over F_p the core adds plain ints and reduces mod p only in ``norm``;
-    elsewhere ``norm`` is None and a raw value is falsy exactly when zero.
-    """
-
-    p: int
-    add: Callable
-    neg: Callable
-    mul: Callable
-    of_int: Callable
-    norm: Callable | None
-    zero: object
-    c: object
-
-
-@lru_cache(maxsize=None)
-def _ring(dom: CoeffDomain) -> _Ring:
-    if isinstance(dom, PrimeField):
-        p = dom.p
-
-        def mod_p(v):
-            return v % p
-
-        return _Ring(p, operator.add, operator.neg, operator.mul, mod_p, mod_p, 0, dom.c_value)
-    # F_p(c) works on numerators in F_p[c]; F_2[c] packs them into ints, so
-    # XOR adds and negation is the identity
-    ring = dom.ring
-    add, neg = (operator.xor, operator.pos) if dom.p == 2 else (ring.add, ring.neg)
-
-    def of_int(k):
-        return ring.from_coeffs((k,))
-
-    return _Ring(dom.p, add, neg, ring.mul, of_int, None, ring.zero, dom.c_scalar()[0])
-
-
 def _settle(out: dict, norm) -> dict:
     """Normal forms of accumulated values, zero terms dropped."""
     if norm is None:
@@ -165,7 +129,7 @@ def unpack_monomial(key: int, slots: int, nb: int) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int, orbit: tuple[int, ...]):
+def _core_layout(i: int, n: int, t: int, c, ring: RingAdapter, nb: int, orbit: tuple[int, ...]):
     """The per-operator constants of ``_dunkl_core``, built once.
 
     The orbit slots get a mask covering them and slots i and n, and a memo
@@ -192,7 +156,7 @@ def _core_layout(i: int, n: int, t: int, c, ring: _Ring, nb: int, orbit: tuple[i
     return of_int(2), at_i, at_n, ui, un, spare, ui - un, omask, {}
 
 
-def _orbit_table(mkey: int, i: int, n: int, nb: int, orbit: tuple[int, ...], ring: _Ring):
+def _orbit_table(mkey: int, i: int, n: int, nb: int, orbit: tuple[int, ...], ring: RingAdapter):
     """The orbit slots' delta terms of D_{y_i - y_n} on one representative.
 
     mkey holds the exponents a of slot i, b of slot n and the nonincreasing
@@ -229,7 +193,7 @@ def _orbit_table(mkey: int, i: int, n: int, nb: int, orbit: tuple[int, ...], rin
     )
 
 
-def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring, orbit: tuple[int, ...] = ()) -> Packed:
+def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: RingAdapter, orbit: tuple[int, ...] = ()) -> Packed:
     """D_{y_i - y_n} on packed raw n-slot terms, without reducing slot n.
 
         D_{y_i-y_n} = t (d_i - d_n)
@@ -250,6 +214,7 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: _Ring, orbit: tuple[
     and given by its orbit representatives, the terms whose U-exponents are
     nonincreasing along U; the image comes back the same way.  The U-slots'
     delta terms are then read off ``_orbit_table`` by representative.
+    ``ring`` is ``RingAdapter.of`` the domain, also the key of ``_core_layout``'s cache.
     """
     p, add, neg, mul, zero, nb = ring.p, ring.add, ring.neg, ring.mul, ring.zero, f.nb
     two, at_i, at_n, ui, un, spare, step_in, omask, tables = _core_layout(i, n, t, c, ring, nb, orbit)
@@ -346,7 +311,7 @@ def lift_raw(f: ReducedPoly) -> Packed:
 def dunkl_z_raw(f: Packed, i: int, ctx: DunklContext, orbit: tuple[int, ...] = ()) -> Packed:
     """D_{y_i - y_n} with the context's t and c on packed raw n-slot terms,
     given by their orbit representatives for Sym(orbit)."""
-    ring = _ring(ctx.domain)
+    ring = RingAdapter.of(ctx.domain)
     return _dunkl_core(f, i, ctx.n, ctx.t, ring.c, ring, orbit)
 
 
@@ -390,7 +355,7 @@ def _packed_neg_sum_power(nvars: int, e: int, p: int, nb: int) -> tuple[tuple[in
 
 def reduce_groups(f: Packed, ctx: DunklContext):
     """Each group of f as (tag, {packed (n-1)-slot key: raw value}), slot n reduced."""
-    nv, nb, ring = ctx.nvars, f.nb, _ring(ctx.domain)
+    nv, nb, ring = ctx.nvars, f.nb, RingAdapter.of(ctx.domain)
     add, mul, of_int, zero = ring.add, ring.mul, ring.of_int, ring.zero
     width = 8 * nb * nv
     low = (1 << width) - 1
@@ -485,7 +450,7 @@ def dunkl_parts(f: ReducedPoly, i: int, j: int, ctx: DunklContext):
     """
     if ctx.t != 1:
         raise ValueError("the alpha/beta decomposition requires a t=1 context")
-    ring = _ring(ctx.domain)
+    ring = RingAdapter.of(ctx.domain)
     lifted = lift_raw(f)
 
     def part(k, t, c):
@@ -493,9 +458,8 @@ def dunkl_parts(f: ReducedPoly, i: int, j: int, ctx: DunklContext):
             return ReducedPoly.zero(ctx.domain, ctx.nvars)
         return reduce_raw(_dunkl_core(lifted, k, ctx.n, t, c, ring), ctx)
 
-    one = ring.of_int(1)
     alpha = part(i, 1, ring.zero).sub(part(j, 1, ring.zero))
-    beta = part(i, 0, one).sub(part(j, 0, one))
+    beta = part(i, 0, ring.one).sub(part(j, 0, ring.one))
     return alpha, beta
 
 

@@ -16,6 +16,9 @@ Univariate polynomials over F_2 are packed into Python ints (bit i is the
 coefficient of c^i), so that addition is XOR and multiplication is a
 carryless shift-and-xor.  Over odd p they are tuples of ints with no
 trailing zeros, () being the zero polynomial.
+
+``RingAdapter.of(domain)`` is the raw-coefficient view of F_p or F_p(c)
+shared by the Dunkl core, compose and elimination.
 """
 
 from __future__ import annotations
@@ -353,8 +356,7 @@ class RationalFunctionField(CoeffDomain):
     """F_p(c): reduced fractions of univariate polynomials in c over F_p.
 
     Scalar values are pairs (num, den) of ring elements with den monic and
-    gcd(num, den) = 1; zero is canonically (0, 1).  ``points_tried`` counts
-    the evaluation points ``linalg`` used, for per-degree reports.
+    gcd(num, den) = 1; zero is canonically (0, 1).
     """
 
     c_mode = "generic"
@@ -365,7 +367,6 @@ class RationalFunctionField(CoeffDomain):
         self.p = p
         self.ring = poly_ring(p)
         self._key = None
-        self.points_tried = 0
 
     def __repr__(self):
         return f"{type(self).__name__}(p={self.p})"
@@ -462,6 +463,76 @@ def _fmt_cpoly(coeffs: tuple[int, ...]) -> str:
         else:
             parts.append(f"c^{e}" if a == 1 else f"{a}*c^{e}")
     return "+".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Raw coefficients: the values the Dunkl core, compose and elimination carry
+# ---------------------------------------------------------------------------
+
+
+def denominator_lcm(R, dens):
+    """The lcm of monic denominators; a 1, or one equal to the lcm so far, costs no gcd."""
+    den = R.one
+    for d in dens:
+        if d != R.one and d != den:
+            den = R.mul(den, R.divmod(d, R.gcd(den, d))[0])
+    return den
+
+
+class RingAdapter:
+    """The raw coefficients of one domain: ints over F_p, reduced mod p only
+    by ``norm``; numerators in F_p[c] over F_p(c), where ``norm`` is None.
+
+    It carries the Dunkl core's arithmetic (F_2[c] ints add by XOR), the
+    ``p``, ``one`` and ``is_generic`` that choose compose's packing and the
+    elimination route, and ``points_tried``, the evaluation points
+    ``linalg._modular_rref`` ran on it.  ``of`` gives one adapter per class
+    of equal domains: the core's layout cache keys on it, and a point count
+    is read where it was counted.  The benchmark tracer reads
+    ``is_generic``, ``ring`` and ``zero`` and wraps ``strip_row``.
+    """
+
+    def __init__(self, domain: CoeffDomain):
+        self.domain, self.p, self.points_tried = domain, domain.p, 0
+        self.is_generic = isinstance(domain, RationalFunctionField)
+        if self.is_generic:
+            ring = self.ring = domain.ring
+            self.zero, self.one, self.mul, self.norm = ring.zero, ring.one, ring.mul, None
+            self.add, self.neg = (operator.xor, operator.pos) if self.p == 2 else (ring.add, ring.neg)
+            self.of_int = lambda k: ring.from_coeffs((k,))
+            self.c = domain.c_scalar()[0]
+        else:
+            p = self.p
+            self.ring, self.zero, self.one = None, 0, 1
+            self.add, self.neg, self.mul = operator.add, operator.neg, operator.mul
+            self.of_int = self.norm = lambda v: v % p
+            self.c = domain.c_value
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of(domain: CoeffDomain) -> "RingAdapter":
+        """The adapter of ``domain``, one per class of equal domains."""
+        return RingAdapter(domain)
+
+    def strip_row(self, row):
+        """The row as it is.  Nothing calls it; only the benchmark tracer binds it."""
+        return row
+
+    def scalar_div(self, a, b):
+        """Field division of two ring values, as a domain scalar."""
+        return self.domain.make(a, b) if self.is_generic else self.domain.div(a, b)
+
+    def clear_denominators(self, scalar_row: dict, ncols: int) -> list:
+        """Sparse dict of field scalars -> dense row of ring values, times the lcm
+        of the denominators."""
+        dense = [self.zero] * ncols
+        if self.is_generic:
+            R = self.ring
+            den = denominator_lcm(R, (d for _, d in scalar_row.values()))
+            scalar_row = {col: R.mul(num, R.divmod(den, d)[0]) for col, (num, d) in scalar_row.items()}
+        for col, v in scalar_row.items():
+            dense[col] = v
+        return dense
 
 
 # ---------------------------------------------------------------------------

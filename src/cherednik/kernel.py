@@ -51,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .fields import CoeffDomain, RationalFunctionField, Scalar
+from .fields import RationalFunctionField, Scalar
 from .poly import Monomial, ReducedPoly, monomial_index, monomials_of_degree
 from .action import Transposition, apply_transposition
 from .dunkl import DunklContext, Packed, dunkl_z, dunkl_z_raw, lift_raw, pack_monomial, packed_index, reduce_groups, reduce_raw, split_orbits
@@ -76,10 +76,9 @@ def dunkl_columns(d: int, i: int, ctx: DunklContext, monomials=None) -> list[dic
     so over F_p(c) every value is in F_p[c].  Tests and ``cherednik
     selftest`` check the columns against divided differences.
     """
-    nv, dom = ctx.nvars, ctx.domain
+    nv, one = ctx.nvars, linalg.RingAdapter.of(ctx.domain).one
     monos = monomials_of_degree(nv, d) if monomials is None else monomials
     nb = max(1, (d.bit_length() + 7) // 8)
-    one = dom.ring.one if isinstance(dom, RationalFunctionField) else dom.one
     f = Packed(nb, [(k, {pack_monomial(m, nb): one}) for k, m in enumerate(monos)])
     rows, cols = packed_index(nv, d - 1, nb), [{} for _ in monos]
     for k, image in reduce_groups(dunkl_z_raw(f, i, ctx), ctx):
@@ -101,7 +100,7 @@ def _stacked_rows(R: list[list], d: int, ctx: DunklContext, cols) -> list[list]:
     built = sorted(set().union(*swaps))
     at = {k: pos for pos, k in enumerate(built)}
     first = linalg.compose_rows_columns(
-        linalg.RingAdapter(ctx.domain), R, dunkl_columns(d, 1, ctx, [monos[k] for k in built])
+        linalg.RingAdapter.of(ctx.domain), R, dunkl_columns(d, 1, ctx, [monos[k] for k in built])
     )
     return [[row[j] for j in positions] for positions in ([at[k] for k in swap] for swap in swaps) for row in first]
 
@@ -171,17 +170,10 @@ class GradedKernel:
 
     def __init__(self, ctx: DunklContext):
         self.ctx = ctx
-        self.adapter = linalg.RingAdapter(ctx.domain)
+        self.adapter = linalg.RingAdapter.of(ctx.domain)
         self.first_zero_degree: int | None = None
-        zero_data = DegreeData(
-            degree=0,
-            dim_m=1,
-            kernel_rows=[],
-            kernel_pivots=[],
-            dim_l=1,
-            constraint_rows=[[self.adapter.one]],
-        )
-        self.degrees: dict[int, DegreeData] = {0: zero_data}
+        # degree 0: M = L = k, no kernel, the constraint row 1
+        self.degrees: dict[int, DegreeData] = {0: DegreeData(0, 1, [], [], 1, [[self.adapter.one]])}
 
     @property
     def completed(self) -> bool:
@@ -196,8 +188,7 @@ class GradedKernel:
         if d - 1 not in self.degrees:
             self.compute_degree(d - 1)
         start = time.perf_counter()
-        ctx, dom = self.ctx, self.ctx.domain
-        points_before = getattr(dom, "points_tried", 0)
+        ctx, points_before = self.ctx, self.adapter.points_tried
         prev = self.degrees[d - 1]
         ncols = len(monomials_of_degree(ctx.nvars, d))
         live, relations = _staircase(prev, d, ctx.nvars)
@@ -206,7 +197,7 @@ class GradedKernel:
         kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(
             self.adapter, stacked, live, relations, ncols
         )
-        points = getattr(dom, "points_tried", 0) - points_before
+        points = self.adapter.points_tried - points_before
         data = DegreeData(
             d, ncols, kernel_rows, kernel_pivots, len(constraint_rows), constraint_rows,
             len(live), points, time.perf_counter() - start,
@@ -369,7 +360,7 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     per degree, over all of G_{e-1}, which holds every slot's rows.
     """
     nv = ctx.nvars
-    adapter = linalg.RingAdapter(ctx.domain)
+    adapter = linalg.RingAdapter.of(ctx.domain)
     gram = [[adapter.one]]
     for e in range(1, d + 1):
         idx_prev = monomial_index(nv, e - 1)
@@ -404,7 +395,7 @@ def gram_oracle_kernel(
             f"Gram matrix would need {n_monos * n_monos} pairings; "
             "use the recursive kernel engine instead"
         )
-    adapter = linalg.RingAdapter(ctx.domain)
+    adapter = linalg.RingAdapter.of(ctx.domain)
     return reduce_from_the_right(adapter, gram_rows(d, ctx), range(n_monos), {}, n_monos)[:2]
 
 

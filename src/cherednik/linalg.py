@@ -11,6 +11,9 @@ The kernel engine needs these things, all deterministic:
   * that RREF from A on its live columns only, extended to the others by
     known vectors of ker A (``extend``).
 
+Matrices hold raw ring values (ints, or F_p[c] numerators), read through
+the domain's one ``RingAdapter``, which also counts evaluation points.
+
 One routine eliminates: ``sparse_rref``, Gauss-Jordan over a field on
 sparse rows.  Its pivot rows stay reduced, so a redundant row is cleared by
 one row operation per pivot column in its support.  Over F_p it reduces the
@@ -31,63 +34,7 @@ way, with additions in place of XORs.
 
 from __future__ import annotations
 
-from .fields import CoeffDomain, PrimeField, RationalFunctionField, point_field
-
-
-class RingAdapter:
-    """Conversions between raw coefficient values and field scalars."""
-
-    def __init__(self, domain: CoeffDomain):
-        self.domain = domain
-        self.is_generic = isinstance(domain, RationalFunctionField)
-        self.ring = getattr(domain, "ring", None)
-        if self.is_generic:
-            self.zero = self.ring.zero
-            self.one = self.ring.one
-        else:
-            self.zero = domain.from_int(0)
-            self.one = domain.from_int(1)
-
-    def strip_row(self, row):
-        """Divide a row by its content (generic mode).  Nothing calls it, as
-        ``echelon`` rows have content 1; the benchmark tracer binds the name."""
-        if not self.is_generic:
-            return row
-        R = self.ring
-        g = self.zero
-        for v in row:
-            if v == self.zero:
-                continue
-            g = R.gcd(g, v)
-            if R.deg(g) == 0:
-                return row if g == self.one else row
-        if g == self.zero or R.deg(g) == 0:
-            return row
-        return [R.divmod(v, g)[0] if v != self.zero else v for v in row]
-
-    def scalar_div(self, a, b):
-        """Field division of two ring values, as a domain scalar."""
-        if self.is_generic:
-            return self.domain.make(a, b)
-        return self.domain.div(a, b)
-
-    def clear_denominators(self, scalar_row: dict, ncols: int) -> list:
-        """Sparse dict of field scalars -> dense row of ring values, times the lcm
-        of the denominators."""
-        dense = [self.zero] * ncols
-        if not self.is_generic:
-            for col, v in scalar_row.items():
-                dense[col] = v
-            return dense
-        R = self.ring
-        den = self.one
-        for num, d in scalar_row.values():
-            if d != self.one:
-                g = R.gcd(den, d)
-                den = R.mul(den, R.divmod(d, g)[0])
-        for col, (num, d) in scalar_row.items():
-            dense[col] = R.mul(num, R.divmod(den, d)[0])
-        return dense
+from .fields import CoeffDomain, RingAdapter, denominator_lcm, point_field
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +65,12 @@ def packing_widths(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list
     superset of R's rows or a column permutation of D are safe too, as wider
     packing changes no value: ``gram_rows`` makes one call per degree.
     """
-    dom = adapter.domain
-    if dom.p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
+    if adapter.p == 2:
         max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
         max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
         return max_r, max_v
     terms = max((len(col) for col in dunkl_columns), default=0)
-    if isinstance(dom, PrimeField):
+    if not adapter.is_generic:
         return (terms,)
     R_len = max((len(v) for row in R_rows for v in row), default=0)
     D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
@@ -147,11 +93,10 @@ def compose_rows_columns(
     ncols = len(dunkl_columns)
     if L == 0:
         return []
-    dom = adapter.domain
-    p = dom.p
+    p = adapter.p
     if widths is None:
         widths = packing_widths(adapter, R_rows, dunkl_columns)
-    if p == 2 and isinstance(dom, (PrimeField, RationalFunctionField)):
+    if p == 2:
         max_r, max_v = widths
         width = max_r + max_v + 1
         packed = _gf2_pack_columns(R_rows, width)
@@ -166,12 +111,8 @@ def compose_rows_columns(
                     acc ^= pk << (low.bit_length() - 1)
                     v ^= low
             out_cols.append(acc)
-        rows = []
-        for r in range(L):
-            sh = r * width
-            rows.append([(acc >> sh) & mask for acc in out_cols])
-        return rows
-    if isinstance(dom, PrimeField):
+        return [[(acc >> r * width) & mask for acc in out_cols] for r in range(L)]
+    if not adapter.is_generic:
         # additive packing: entries < p, so a sum of terms products fits in width bits
         width = ((p - 1) ** 2 * widths[0]).bit_length()
         out_cols = _packed_products(R_rows, dunkl_columns, width)
@@ -435,7 +376,7 @@ def _modular_rref(adapter: RingAdapter, rows: list[list], columns=None, relation
     used, best = [], None
     for j in range(MAX_POINTS):
         F = point_field(dom.p, j)
-        dom.points_tried += 1
+        adapter.points_tried += 1
         at_relations = _relations_at(F, relations)
         if at_relations is None:
             continue  # a relation has no value at this point
@@ -474,11 +415,7 @@ def _relations_at(F, relations: dict[int, dict]):
 
 def _cleared_degrees(R, entries: dict) -> dict[int, int]:
     """{col: degree of the entry times the lcm of the entries' denominators}."""
-    den = R.one
-    for _, d in entries.values():
-        if d != R.one:
-            den = R.mul(den, R.divmod(d, R.gcd(den, d))[0])
-    top = R.deg(den)
+    top = R.deg(denominator_lcm(R, (d for _, d in entries.values())))
     return {c: R.deg(num) + top - R.deg(d) for c, (num, d) in entries.items()}
 
 

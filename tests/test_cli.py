@@ -381,6 +381,16 @@ def test_sweep_empty_grid(tmp_path):
     assert len(content) == 1 and content[0].startswith("p,")
 
 
+@pytest.mark.parametrize("p_list, n_list, bad", [("2,x", "3", "--p-list"), ("2", "3,4.5", "--n-list")])
+def test_sweep_malformed_list_is_a_usage_error(tmp_path, p_list, n_list, bad):
+    argv = ["sweep", "--p-list", p_list, "--n-list", n_list, "--t", "0", "--out", str(tmp_path / "grid")]
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2
+    assert f"argument {bad}: not a comma-separated list of integers" in proc.stderr
+    assert "internal error" not in proc.stderr
+    assert not (tmp_path / "grid").exists()
+
+
 def test_dump_kernel_export(tmp_path):
     target = tmp_path / "kernel.json"
     proc = run_cli(

@@ -87,6 +87,15 @@ def test_t1_degree_four_checkpoint():
     assert gk.degrees[4].dim_l == 29  # C(7,4) - C(4,2)
 
 
+def test_points_per_degree_do_not_depend_on_earlier_runs():
+    # equal F_2(c) domains, distinct objects, share one adapter: each run must
+    # still read the points it tried, whichever domain came first
+    runs = [compute_graded_kernel(DunklContext.make(n=5, p=2, t=1)) for _ in range(2)]
+    assert runs[0].ctx.domain == runs[1].ctx.domain and runs[0].ctx.domain is not runs[1].ctx.domain
+    points = [[gk.degrees[d].points for d in range(1, gk.first_zero_degree)] for gk in runs]
+    assert all(k >= 1 for k in points[0]) and points[0] == points[1]
+
+
 def test_kernel_at_degree_wrapper():
     ctx = ctx_of(5, 2, 0)
     gk = GradedKernel(ctx)
