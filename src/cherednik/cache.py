@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
@@ -53,33 +53,13 @@ class RunRecord:
         }
 
     def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "status": self.status,
-            "series": self.series,
-            "dims": self.dims,
-            "conjecture": self.conjecture,
-            "shape_check": self.shape_check,
-            "baby_verma_bound_ok": self.baby_verma_bound_ok,
-            "notes": self.notes,
-            "engine_version": self.engine_version,
-            "timing": self.timing,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(d: dict) -> "RunRecord":
-        return RunRecord(
-            key=d["key"],
-            status=d.get("status", "ok"),
-            series=d.get("series"),
-            dims=d.get("dims", {}),
-            conjecture=d.get("conjecture", {}),
-            shape_check=d.get("shape_check"),
-            baby_verma_bound_ok=d.get("baby_verma_bound_ok"),
-            notes=d.get("notes", []),
-            engine_version=d.get("engine_version", "unknown"),
-            timing=d.get("timing", {}),
-        )
+        """The record a stored line holds; a line with no engine_version reads "unknown"."""
+        names = {f.name for f in fields(RunRecord)}
+        return RunRecord(**{"engine_version": "unknown", **{k: v for k, v in d.items() if k in names}})
 
 
 class RunCache:

@@ -84,7 +84,8 @@ def _run_cell(
     """(RunRecord, the graded kernel it was read from, or None if it stopped short).
 
     A run stopped by the budget or by ``max_degree`` before the first zero
-    of dim L gets ``status="exceeded_cap"`` and the dims it finished.
+    of dim L gets ``status="exceeded_cap"``, and the dims and the
+    ``timing.per_degree`` rows of the degrees it finished.
     """
     start = time.monotonic()
     record = RunRecord(key=RunRecord.make_key(p, n, t, c))
@@ -94,6 +95,10 @@ def _run_cell(
         DunklContext.make(n=n, p=p, t=t, c=c), max_degree=max_degree, budget_seconds=budget_seconds
     )
     record.dims = {str(d): list(v) for d, v in gk.dims().items()}
+    record.timing["per_degree"] = [
+        {"degree": d, "M": dd.dim_m, "live": dd.live, "L": dd.dim_l, "points": dd.points, "seconds": round(dd.seconds, 4)}
+        for d, dd in sorted(gk.degrees.items()) if d
+    ]
     if not gk.completed:
         record.status = "exceeded_cap"
         stop = max(gk.degrees) + 1  # the degree the run did not start
@@ -105,10 +110,6 @@ def _run_cell(
         return record, None
     series = computed_hilbert(gk)
     record.series = series.to_json()
-    record.timing["per_degree"] = [
-        {"degree": d, "M": dd.dim_m, "live": dd.live, "L": dd.dim_l, "points": dd.points, "seconds": round(dd.seconds, 4)}
-        for d, dd in sorted(gk.degrees.items()) if d
-    ]
     cong = CongruenceData.of(n, p)
     record.conjecture = {}
     variants = ("as_printed", "remark_consistent")
@@ -299,57 +300,36 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    """One hilbert run per (p, n); each summary row is written as its cell ends,
+    so an interrupted sweep keeps the rows of the cells it finished."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = RunCache(args.cache_dir)
-    rows = []
     c = _default_c(args.t, args.c)
-    for p in args.p_list:
-        for n in args.n_list:
-            try:
-                record = _cached_cell(cache, p, n, args.t, c, args.max_degree, args.budget_seconds)[0]
-            except Exception as exc:  # record the failure, keep sweeping
-                record = RunRecord(key=RunRecord.make_key(p, n, args.t, c), status="error", notes=[repr(exc)])
-            cell_path = out_dir / f"run_p{p}_n{n}_t{args.t}.json"
-            cell_path.write_text(
-                json.dumps(record.to_json(), sort_keys=True, indent=1)
-            )
-            rows.append(
-                {
-                    "p": p,
-                    "n": n,
-                    "r": n % p,
-                    "series": (
-                        " ".join(map(str, record.series["coeffs"]))
-                        if record.series
-                        else ""
-                    ),
-                    "variant_A_match": record.conjecture.get("as_printed", {}).get(
-                        "match", ""
-                    ),
-                    "variant_B_match": record.conjecture.get(
-                        "remark_consistent", {}
-                    ).get("match", ""),
-                    "status": record.status,
-                }
-            )
-            _eprint(f"cell p={p} n={n}: {record.status}")
     csv_path = out_dir / "summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "p",
-                "n",
-                "r",
-                "series",
-                "variant_A_match",
-                "variant_B_match",
-                "status",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["p", "n", "r", "series", "variant_A_match", "variant_B_match", "status"])
+        fh.flush()
+        for p in args.p_list:
+            for n in args.n_list:
+                try:
+                    record = _cached_cell(cache, p, n, args.t, c, args.max_degree, args.budget_seconds)[0]
+                except Exception as exc:  # record the failure, keep sweeping
+                    record = RunRecord(key=RunRecord.make_key(p, n, args.t, c), status="error", notes=[repr(exc)])
+                cell_path = out_dir / f"run_p{p}_n{n}_t{args.t}.json"
+                cell_path.write_text(json.dumps(record.to_json(), sort_keys=True, indent=1))
+                writer.writerow([
+                    p,
+                    n,
+                    n % p,
+                    " ".join(map(str, record.series["coeffs"])) if record.series else "",
+                    record.conjecture.get("as_printed", {}).get("match", ""),
+                    record.conjecture.get("remark_consistent", {}).get("match", ""),
+                    record.status,
+                ])
+                fh.flush()
+                _eprint(f"cell p={p} n={n}: {record.status}")
     _eprint(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -406,14 +386,18 @@ def cmd_selftest(args) -> int:
             elim_bad.append(f"(p={p}, {nrows}x{ncols} of rank <= {rank})")
     report("generic elimination vs field-fraction RREF (5 matrices)", not elim_bad, "".join(elim_bad[:1]))
 
+    def from_the_left(dom, rows, ncols):  # the RREF from the left: columns mirrored, reduced, mirrored back
+        rref, pivots = linalg.sparse_rref(dom, [{ncols - 1 - j: v for j, v in r.items()} for r in rows])
+        return [{ncols - 1 - j: v for j, v in r.items()} for r in rref], [ncols - 1 - c for c in pivots]
+
     kern_bad = []  # the engine and the Gram oracle share this route, so check it on its own
     for dom in [CoeffDomain.prime(p) for p in (2, 3, 5)] + [CoeffDomain.generic(p) for p in (2, 3)]:
         draw = dom.from_c_poly if isinstance(dom, RationalFunctionField) else lambda c: dom.from_int(c[0])
         for nrows, ncols in [(0, 4), (1, 5), (3, 6), (4, 4)]:
             values = [[draw([rng.randrange(dom.p), rng.randrange(dom.p)]) for _ in range(ncols)] for _ in range(nrows)]
-            rref, pivots = linalg.sparse_rref(dom, [{j: v for j, v in enumerate(r) if not dom.is_zero(v)} for r in values])
-            want = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)))
-            right = linalg.sparse_rref(dom, [{ncols - 1 - j: v for j, v in r.items()} for r in rref])
+            rref, pivots = from_the_left(dom, [{j: v for j, v in enumerate(r) if not dom.is_zero(v)} for r in values], ncols)
+            want = from_the_left(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)), ncols)
+            right = linalg.sparse_rref(dom, rref)
             if linalg.kernel_from_rref(dom, *right, ncols) != want:
                 kern_bad.append(f"({dom!r}, {nrows}x{ncols} of rank {len(pivots)})")
     report("kernel extraction vs reduced natural kernel (20 matrices)", not kern_bad, "".join(kern_bad[:1]))

@@ -8,7 +8,11 @@ image D^a q.  Degree by degree,
 
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
 matrices composed with the previous degree's constraint rows and reduce the
-stack once, from the right (``reduce_from_the_right``).
+stack once, from the right (``reduce_from_the_right``).  Columns stay in
+graded-lex order throughout.  Each RREF row's pivot is its largest column;
+the pivots are the standard monomials S_d, |S_d| = dim L[d], the rows are
+the next degree's constraint rows, and free column f gives the canonical
+kernel vector v_f = e_f minus column f of the rows.
 Only R D_1 is composed, R the constraint rows and D_i the matrix of
 D_{y_i - y_n}.  s = (1 i) fixes y_n and permutes monomials by P_s, so
 R D_i = (R P_s) D_1 P_s, and R P_s = G R with G invertible, as the row space
@@ -131,19 +135,15 @@ def _staircase(prev: "DegreeData", d: int, nv: int) -> tuple[list[int], dict[int
 
 
 def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], cols, relations: dict, ncols: int):
-    """(kernel rows, kernel pivots, constraint rows) of a matrix A from one
-    RREF of A on the columns ``cols``, with its columns reversed, extended
-    to every column by ``relations`` (``linalg.echelon``): each other column m
-    maps to the entries, right of m, of a vector of ker A that is 1 at m.
-    The rows, back in natural column order, span the row space of A, with
-    denominators cleared and content 1."""
-    top = ncols - 1
-    columns = [top - k for k in reversed(cols)]
-    dead = {top - m: {top - k: x for k, x in w.items()} for m, w in relations.items()}
-    ech_rows, ech_pivots = linalg.echelon(adapter, [row[::-1] for row in rows], columns, dead)
+    """(kernel rows, kernel pivots, constraint rows) of a matrix A from its
+    RREF from the right on the columns ``cols``, extended to every column by
+    ``relations`` (``linalg.echelon``): each other column m maps to the
+    entries, right of m, of a vector of ker A that is 1 at m.  The constraint
+    rows are that RREF, ordered by pivot, descending, with denominators
+    cleared and content 1; they span the row space of A."""
+    ech_rows, ech_pivots = linalg.echelon(adapter, rows, cols, relations)
     rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-    kernel = linalg.kernel_from_rref(adapter.domain, rref, ech_pivots, ncols)
-    return *kernel, [row[::-1] for row in ech_rows]
+    return *linalg.kernel_from_rref(adapter.domain, rref, ech_pivots, ncols), ech_rows
 
 
 @dataclass

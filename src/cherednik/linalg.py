@@ -5,9 +5,10 @@ The kernel engine needs these things, all deterministic:
   * compose A = R * D column-by-column, where R is a small dense matrix of
     ring values (the constraint rows of the previous degree) and D is a
     sparse Dunkl matrix whose entries have tiny c-degree;
-  * the canonical RREF of A from the right (A with its columns reversed):
-    its rows span the row space of A, and its free columns give the kernel
-    of A, in canonical RREF under the graded-lex column order, as it stands;
+  * the canonical RREF of A from the right, each pivot the largest column
+    of its row: its rows span the row space of A, and its free columns give
+    the kernel of A, in canonical RREF under the graded-lex column order, as
+    it stands;
   * that RREF from A on its live columns only, extended to the others by
     known vectors of ker A (``extend``).
 
@@ -173,8 +174,10 @@ def echelon(
 
     ``columns`` names the column of each entry of a row, ascending (by
     default its position).  ``relations`` maps each other column m to the
-    entries w_m, all in columns below m, of a vector e_m + w_m of the
+    entries w_m, all in columns above m, of a vector e_m + w_m of the
     matrix's kernel; the rows come back on every column (``extend``).
+    The RREF is the one from the right: each pivot is the largest column of
+    its row, and the rows come ordered by pivot, descending.
     Over a field the nonzero entries go to ``sparse_rref``.  Over F_p(c) it
     is the certified modular route (``_modular_rref``) and the rows come back
     with their denominators cleared.
@@ -202,15 +205,16 @@ def rref_scalar_rows(
 
 
 def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
-    """Canonical RREF of sparse field-scalar rows; returns (rows, pivot cols).
+    """Canonical RREF from the right of sparse field-scalar rows: (rows, pivot cols).
 
-    Rows are dicts {column index: scalar value}; the column order is the
-    integer order (graded-lex descending monomial rank).  Gauss-Jordan: a new
-    pivot's column is cleared from the earlier pivot rows, so a reduced pivot
-    row touches no other pivot column, and a row takes one row operation per
-    pivot column in its support.  A pivot row that changes drops its
-    ``prepare`` form.  A row operation that leaves its pivot column nonzero
-    means the field's arithmetic is wrong: it raises ArithmeticError.
+    Rows are dicts {column index: scalar value}.  Each row's pivot is its
+    largest column, and the rows come ordered by pivot, descending.
+    Gauss-Jordan: a new pivot's column is cleared from the earlier pivot
+    rows, so a reduced pivot row touches no other pivot column, and a row
+    takes one row operation per pivot column in its support.  A pivot row
+    that changes drops its ``prepare`` form.  A row operation that leaves
+    its pivot column nonzero means the field's arithmetic is wrong: it
+    raises ArithmeticError.
     """
     subtract, prepare = domain.subtract_multiple, domain.prepare
     pivots: dict[int, dict[int, object]] = {}
@@ -228,25 +232,26 @@ def sparse_rref(domain: CoeffDomain, rows: list[dict[int, object]]):
         for pc in [k for k in row if k in pivots]:
             clear(row, pc)
         if row:
-            lead = min(row)
+            lead = max(row)
             inv = domain.inv(row[lead])
             pivots[lead] = {k: domain.mul(v, inv) for k, v in row.items()}
             for qc, qrow in pivots.items():
                 if qc != lead and lead in qrow:
                     clear(qrow, lead)
                     prepared.pop(qc, None)
-    ordered = sorted(pivots)
+    ordered = sorted(pivots, reverse=True)
     return [pivots[c] for c in ordered], ordered
 
 
 def extend(domain: CoeffDomain, rows: list[dict[int, object]], relations: dict[int, dict]) -> None:
     """Fill in the columns ``relations`` names, in place, from the rows' other entries.
 
-    relations[m] = w_m holds the entries, all in columns below m, of a vector
+    relations[m] = w_m holds the entries, all in columns above m, of a vector
     e_m + w_m of ker A, so a row r of A's row space has r_m = -sum_k r_k w_m[k].
-    With m ascending every r_k is final when it is read, so the RREF rows of
-    A restricted to the other columns become the RREF rows of A.  The work
-    runs on columns, as one ``subtract_multiple`` per entry of each w_m.
+    With m descending, right to left, every r_k is final when it is read, so
+    the RREF rows of A restricted to the other columns become the RREF rows
+    of A.  The work runs on columns, as one ``subtract_multiple`` per entry
+    of each w_m.
     """
     if not relations:
         return
@@ -256,7 +261,7 @@ def extend(domain: CoeffDomain, rows: list[dict[int, object]], relations: dict[i
         for k, v in row.items():
             cols.setdefault(k, {})[r] = v
     prepared: dict[int, dict] = {}
-    for m in sorted(relations):
+    for m in sorted(relations, reverse=True):
         col: dict[int, object] = {}
         for k, w in relations[m].items():
             if k in cols:
@@ -277,31 +282,24 @@ def kernel_from_rref(
 ):
     """Kernel of a matrix, as canonical sparse RREF rows, from its RREF from the right.
 
-    rref_rows and pivot_cols are the canonical RREF, pivot entries 1, of the
-    matrix with its columns reversed.  Mapped back to the natural columns,
-    each pivot is the largest column of its row, so free column f gives
-    v_f = e_f minus column f of those rows, which is canonical as it stands:
-    its other entries sit at pivots, all to the right of f.
+    rref_rows and pivot_cols are the canonical RREF from the right, pivot
+    entries 1: each pivot is the largest column of its row, so free column f
+    gives v_f = e_f minus column f of those rows, which is canonical as it
+    stands: its other entries sit at pivots, all to the right of f.
     """
-    top = ncols - 1
-    rows = [{top - c: v for c, v in row.items()} for row in rref_rows]
-    vectors = natural_kernel(domain, rows, [top - c for c in pivot_cols], range(ncols))
+    vectors = natural_kernel(domain, rref_rows, pivot_cols, range(ncols))
     return vectors, [min(v) for v in vectors]
 
 
 def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, columns) -> list[dict]:
     """One kernel vector per free column f among ``columns``: e_f minus column f of the rows."""
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in columns if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v: dict[int, object] = {f: domain.from_int(1)}
-        for pc, row in zip(pivot_cols, rref_rows):
-            coef = row.get(f)
-            if coef is not None and not domain.is_zero(coef):
-                v[pc] = domain.neg(coef)
-        vectors.append(v)
-    return vectors
+    vectors = {f: {f: domain.from_int(1)} for f in columns if f not in pivot_set}
+    for pc, row in zip(pivot_cols, rref_rows):
+        for f, coef in row.items():
+            if f in vectors and not domain.is_zero(coef):
+                vectors[f][pc] = domain.neg(coef)
+    return list(vectors.values())
 
 
 def reduce_by_rref(
@@ -328,15 +326,15 @@ def _modular_rref(adapter: RingAdapter, rows: list[list], columns=None, relation
 
     ``rows`` are A on the built columns C (``columns``); ``relations`` gives,
     for every other column m, the entries w_m right of m of a vector
-    e_m + w_m of ker A (see ``echelon``).  A|C is reduced at the points of
-    ``point_field`` in turn.  A point where a denominator of some w_m
-    vanishes is skipped, and still counted.  The highest rank, then the
-    earliest pivots, wins (specializing c only lowers the ranks of leading
-    column blocks) and disagreeing points are dropped.  Each point's rows are
-    extended to every column by the relations (``extend``).  Entries are
-    rebuilt by CRT modulo the product of the kept points' minimal
-    polynomials m_j and rational reconstruction, and returned once
-    ``_certified`` holds; otherwise another point is added.
+    e_m + w_m of ker A (see ``echelon``).  A|C is reduced from the right at
+    the points of ``point_field`` in turn.  A point where a denominator of
+    some w_m vanishes is skipped, and still counted.  The highest rank, then
+    the largest pivots, wins (specializing c only lowers the ranks of
+    trailing column blocks) and disagreeing points are dropped.  Each
+    point's rows are extended to every column by the relations
+    (``extend``).  Entries are rebuilt by CRT modulo the product of the kept
+    points' minimal polynomials m_j and rational reconstruction, and
+    returned once ``_certified`` holds; otherwise another point is added.
 
     Proof.  Let r be the rank at the kept points, R the rebuilt rows, R_C
     their entries in C and V the kernel basis of A|C read off R_C, one vector
@@ -382,10 +380,10 @@ def _modular_rref(adapter: RingAdapter, rows: list[list], columns=None, relation
             continue  # a relation has no value at this point
         at = [{c: x for c, v in zip(columns, row) if v and (x := F.evaluate(v))} for row in rows]
         point_rows, pivots = sparse_rref(F, at)
-        key = (-len(pivots), pivots)
+        key = (-len(pivots), [-c for c in pivots])
         if used and key != best:
             if key > best:
-                continue  # lower rank or later pivots: a bad point
+                continue  # lower rank or smaller pivots: a bad point
             used = []
         best = key
         extend(F, point_rows, at_relations)
@@ -415,8 +413,8 @@ def _relations_at(F, relations: dict[int, dict]):
 
 def _cleared_degrees(R, entries: dict) -> dict[int, int]:
     """{col: degree of the entry times the lcm of the entries' denominators}."""
-    top = R.deg(denominator_lcm(R, (d for _, d in entries.values())))
-    return {c: R.deg(num) + top - R.deg(d) for c, (num, d) in entries.items()}
+    lcm_deg = R.deg(denominator_lcm(R, (d for _, d in entries.values())))
+    return {c: R.deg(num) + lcm_deg - R.deg(d) for c, (num, d) in entries.items()}
 
 
 def _certified(R, colmax, rebuilt, kernel, used, relation_degrees=()) -> bool:

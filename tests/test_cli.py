@@ -190,6 +190,10 @@ def test_budget_stop_records_the_finished_degrees(monkeypatch):
     gk.compute_degree(2)
     assert rec.dims == {str(d): list(v) for d, v in gk.dims().items()}
     assert sorted(rec.dims) == ["0", "1", "2"]
+    # the finished degrees keep their timing rows
+    per_degree = rec.timing["per_degree"]
+    assert [row["degree"] for row in per_degree] == [1, 2]
+    assert [[row["M"], row["L"]] for row in per_degree] == [rec.dims[str(d)][::2] for d in (1, 2)]
 
 
 def test_max_degree_below_the_first_zero_records_the_finished_degrees(tmp_path):
@@ -202,6 +206,7 @@ def test_max_degree_below_the_first_zero_records_the_finished_degrees(tmp_path):
     gk = kernel.compute_graded_kernel(DunklContext.make(n=3, p=2, t=1), max_degree=3)
     assert rec["dims"] == {str(d): list(v) for d, v in gk.dims().items()}
     assert "--max-degree 3" in rec["notes"][-1]
+    assert [row["degree"] for row in rec["timing"]["per_degree"]] == [1, 2, 3]
     # the capped record is not cached: a later uncapped run computes the series
     assert not (tmp_path / "cache" / "runs.jsonl").exists()
     full = record_of(run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "1"], tmp_path))
@@ -368,6 +373,25 @@ def test_sweep_and_resume(tmp_path):
     proc2 = run_cli(args, tmp_path)
     assert proc2.returncode == 0
     assert len(runs.read_text().splitlines()) == 4
+
+
+def test_interrupted_sweep_keeps_the_finished_rows(tmp_path, monkeypatch):
+    # the second cell is interrupted: the summary holds the header and the first cell's row
+    cells = itertools.count()
+    run = cli._cached_cell
+
+    def interrupt_second(*args, **kw):
+        if next(cells) == 1:
+            raise KeyboardInterrupt
+        return run(*args, **kw)
+
+    monkeypatch.setattr(cli, "_cached_cell", interrupt_second)
+    argv = ["sweep", "--p-list", "2", "--n-list", "3,5", "--t", "0", "--out", str(tmp_path / "grid")]
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv + ["--cache-dir", str(tmp_path / "cache")])
+    with open(tmp_path / "grid" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["p"], r["n"], r["status"]) for r in rows] == [("2", "3", "ok")]
 
 
 def test_sweep_empty_grid(tmp_path):

@@ -96,6 +96,32 @@ def test_points_per_degree_do_not_depend_on_earlier_runs():
     assert all(k >= 1 for k in points[0]) and points[0] == points[1]
 
 
+@pytest.mark.parametrize("p, n, t", [(2, 5, 1), (3, 4, 1), (2, 9, 0), (5, 6, 0)])
+def test_constraint_rows_are_dual_to_the_kernel(p, n, t):
+    # the constraint rows are the RREF from the right: their largest columns
+    # are the standard monomials S_d, the columns that are not kernel pivots,
+    # and S_d fixes the live columns of the next degree
+    ctx = ctx_of(n, p, t)
+    gk = compute_graded_kernel(ctx)
+    assert gk.completed
+    zero, nv = linalg.RingAdapter.of(ctx.domain).zero, ctx.nvars
+    for d, dd in sorted(gk.degrees.items()):
+        tops = [max(k for k, v in enumerate(row) if v != zero) for row in dd.constraint_rows]
+        assert len(set(tops)) == len(tops)
+        standard = set(range(dd.dim_m)) - set(dd.kernel_pivots)
+        assert set(tops) == standard and len(standard) == dd.dim_l
+        for row, top in zip(dd.constraint_rows, tops):
+            assert all(row[k] == zero for k in tops if k != top)
+        if d + 1 in gk.degrees:
+            monos = monomials_of_degree(nv, d)
+            S = {monos[k] for k in standard}
+            live = sum(
+                all(m[:j] + (m[j] - 1,) + m[j + 1 :] in S for j in range(nv) if m[j])
+                for m in monomials_of_degree(nv, d + 1)
+            )
+            assert gk.degrees[d + 1].live == live
+
+
 def test_kernel_at_degree_wrapper():
     ctx = ctx_of(5, 2, 0)
     gk = GradedKernel(ctx)

@@ -14,21 +14,32 @@ def reversed_columns(rows, ncols):
     return [{ncols - 1 - j: v for j, v in row.items()} for row in rows]
 
 
+def mirrored(rref, ncols):
+    """(rows, pivots) with every column j read as ncols - 1 - j."""
+    rows, pivots = rref
+    return reversed_columns(rows, ncols), [ncols - 1 - c for c in pivots]
+
+
+def from_the_left(dom, rows, ncols):
+    """The RREF from the left: ``sparse_rref`` on the columns reversed, mirrored back."""
+    return mirrored(linalg.sparse_rref(dom, reversed_columns(rows, ncols)), ncols)
+
+
 def field_fraction_route(dom, A):
     """The RREF from the right, and the kernel read off the RREF from the left
     and reduced, by direct elimination over F_p(c): the independent oracle."""
     R, ncols = dom.ring, len(A[0])
     rows = [{j: (v, R.one) for j, v in enumerate(row) if v != R.zero} for row in A]
-    rref, pivots = linalg.sparse_rref(dom, rows)
-    kernel = linalg.sparse_rref(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)))
-    return linalg.sparse_rref(dom, reversed_columns(rows, ncols)), kernel
+    rref, pivots = from_the_left(dom, rows, ncols)
+    kernel = from_the_left(dom, linalg.natural_kernel(dom, rref, pivots, range(ncols)), ncols)
+    return linalg.sparse_rref(dom, rows), kernel
 
 
 def modular_route(dom, A):
-    """The engine's one elimination: the certified RREF of A with its columns
-    reversed, and the kernel read off it."""
+    """The engine's one elimination: the certified RREF of A from the right,
+    and the kernel read off it."""
     adapter = linalg.RingAdapter(dom)
-    rows, pivots = linalg.echelon(adapter, [row[::-1] for row in A])
+    rows, pivots = linalg.echelon(adapter, A)
     rref = linalg.rref_scalar_rows(adapter, rows, pivots)
     return (rref, pivots), linalg.kernel_from_rref(dom, rref, pivots, len(A[0]))
 
@@ -99,15 +110,17 @@ def test_echelon_over_a_prime_field_against_enumeration(case):
     p, A = case
     dom, ncols = CoeffDomain.prime(p), len(A[0])
     adapter = linalg.RingAdapter(dom)
-    rows, pivots = linalg.echelon(adapter, A)
+    # the RREF from the left: echelon on the columns reversed, mirrored back
+    right, right_pivots = linalg.echelon(adapter, [row[::-1] for row in A])
+    rows, pivots = [row[::-1] for row in right], [ncols - 1 - c for c in right_pivots]
     assert span(p, rows, ncols) == span(p, A, ncols)
     # canonical RREF: increasing pivots, pivot entry 1, zeros in the other pivot columns
     assert all(a < b for a, b in zip(pivots, pivots[1:]))
     for r, (row, pc) in enumerate(zip(rows, pivots)):
         assert not any(row[:pc]) and row[pc] == 1
         assert all(other[pc] == 0 for other in rows[:r] + rows[r + 1 :])
-    right, right_pivots = linalg.echelon(adapter, [row[::-1] for row in A])
-    assert span(p, [row[::-1] for row in right], ncols) == span(p, A, ncols)
+    right, right_pivots = linalg.echelon(adapter, A)
+    assert span(p, right, ncols) == span(p, A, ncols)
     rref = linalg.rref_scalar_rows(adapter, right, right_pivots)
     kernel, _ = linalg.kernel_from_rref(dom, rref, right_pivots, ncols)
     dense = [[v.get(c, 0) for c in range(ncols)] for v in kernel]
@@ -149,16 +162,17 @@ def reduced_natural_kernel(dom, rows, pivots, ncols):
     """The kernel read off the RREF from the left: reduce one vector per free column."""
     vectors = linalg.natural_kernel(dom, rows, pivots, range(ncols))
     if not isinstance(dom, RationalFunctionField) or not vectors:
-        return linalg.sparse_rref(dom, vectors)
+        return from_the_left(dom, vectors, ncols)
     adapter = linalg.RingAdapter(dom)
-    return linalg._modular_rref(adapter, [adapter.clear_denominators(v, ncols) for v in vectors])
+    cleared = [adapter.clear_denominators(v, ncols)[::-1] for v in vectors]
+    return mirrored(linalg._modular_rref(adapter, cleared), ncols)
 
 
 @settings(max_examples=150, deadline=None)
 @given(canonical_rrefs())
 def test_kernel_from_the_right_matches_the_reduced_natural_kernel(case):
     dom, rows, pivots, ncols = case
-    right, right_pivots = linalg.sparse_rref(dom, reversed_columns(rows, ncols))
+    right, right_pivots = linalg.sparse_rref(dom, rows)
     assert linalg.kernel_from_rref(dom, right, right_pivots, ncols) == reduced_natural_kernel(dom, rows, pivots, ncols)
 
 
@@ -215,19 +229,20 @@ def redundant_stacks(draw):
 def test_sparse_rref_matches_dense_gauss_jordan(case):
     F, rows, ncols = case
     before = [dict(row) for row in rows]
-    assert linalg.sparse_rref(F, rows) == dense_gauss_jordan(F, rows, ncols)
+    assert linalg.sparse_rref(F, rows) == mirrored(dense_gauss_jordan(F, reversed_columns(rows, ncols), ncols), ncols)
     assert rows == before
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_sparse_rref_prepares_a_changed_pivot_row_again(p):
-    # row 0 becomes pivot 0, and its copy, row 1, is cleared by pivot row 0
-    # in its prepared (log) form; row 2 becomes pivot 1, whose column is then
-    # cleared from pivot row 0; row 3 reduces against the changed pivot row
-    # 0, which must not be read in its old log form
+    # sparse_rref gets the rows below with their columns reversed; in the
+    # columns below, row 0 becomes pivot 0, and its copy, row 1, is cleared by
+    # pivot row 0 in its prepared (log) form; row 2 becomes pivot 1, whose
+    # column is then cleared from pivot row 0; row 3 reduces against the
+    # changed pivot row 0, which must not be read in its old log form
     F = point_field(p, 0)
     rows = [{0: 1, 1: 2, 3: 1}, {0: 1, 1: 2, 3: 1}, {1: 1, 2: 3, 3: 1}, {0: 1, 2: 5}]
-    assert linalg.sparse_rref(F, rows) == dense_gauss_jordan(F, rows, 4)
+    assert linalg.sparse_rref(F, reversed_columns(rows, 4)) == mirrored(dense_gauss_jordan(F, rows, 4), 4)
 
 
 class OffByOne(PrimeField):
@@ -259,7 +274,22 @@ def test_bad_point_is_dropped(p, bad):
     # entries of degree k + 1 need two good points: the bad point is dropped
     # whether it comes first or between them, so three points are tried
     adapter = linalg.RingAdapter(dom)
-    assert linalg.echelon(adapter, A)[1] == [0, 1]
+    assert linalg.echelon(adapter, [row[::-1] for row in A])[1] == [2, 1]
+    assert adapter.points_tried == 3
+    assert modular_route(dom, A) == field_fraction_route(dom, A)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_point_that_moves_a_pivot_is_dropped(p):
+    dom = CoeffDomain.generic(p)
+    R = dom.ring
+    F = point_field(p, 0)
+    A = [[R.one, F.modulus]]
+    # at point 0 the row is e_0: the rank holds, but the pivot moves from column 1 to 0
+    assert linalg.sparse_rref(F, at_point(F, A))[1] == [0]
+    adapter = linalg.RingAdapter(dom)
+    assert linalg.echelon(adapter, A) == (A, [1])
+    # point 0 is dropped, and the entry of degree k takes points 1 and 2
     assert adapter.points_tried == 3
     assert modular_route(dom, A) == field_fraction_route(dom, A)
 
@@ -279,7 +309,7 @@ def test_entries_past_one_point_need_crt(p, coeffs):
     A = [[R.from_coeffs(v) for v in row] for row in coeffs]
     A.append([R.mul(A[0][0], R.from_coeffs((0, 1))), R.one, A[0][1]])
     adapter = linalg.RingAdapter(dom)
-    linalg.echelon(adapter, A)
+    linalg.echelon(adapter, [row[::-1] for row in A])
     assert adapter.points_tried >= 2
     assert modular_route(dom, A) == field_fraction_route(dom, A)
 
@@ -289,14 +319,14 @@ def test_point_where_a_relation_has_no_value_is_skipped(p):
     dom = CoeffDomain.generic(p)
     R = dom.ring
     m0 = point_field(p, 0).modulus
-    # A = [m0, -1]: built on column 0 alone, with e_1 + e_0 / m0 in its kernel
-    relations = {1: {0: dom.make(R.one, m0)}}
+    # A = [-1, m0]: built on column 1 alone, with e_0 + e_1 / m0 in its kernel
+    relations = {0: {1: dom.make(R.one, m0)}}
     adapter = linalg.RingAdapter(dom)
-    rows, pivots = linalg.echelon(adapter, [[R.one]], [0], relations)
+    rows, pivots = linalg.echelon(adapter, [[R.one]], [1], relations)
     # 1/m0 has no value at point 0, which is skipped and counted; points 1
     # and 2 rebuild the denominator of degree k
     assert adapter.points_tried == 3
-    assert (rows, pivots) == linalg.echelon(linalg.RingAdapter(CoeffDomain.generic(p)), [[m0, R.neg(R.one)]])
+    assert (rows, pivots) == linalg.echelon(linalg.RingAdapter(CoeffDomain.generic(p)), [[R.neg(R.one), m0]])
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -306,14 +336,14 @@ def test_relation_past_one_point_needs_a_second(p):
     F = point_field(p, 0)
     c = R.from_coeffs((0, 1))
     w = R.add(R.mul(c, F.modulus), R.one)  # degree k + 1, and 1 at point 0
-    # A is the identity on columns 0 and 1, with e_2 + w e_0 + c e_1 in its kernel
-    relations = {2: {0: (w, R.one), 1: (c, R.one)}}
+    # A is the identity on columns 2 and 1, with e_0 + w e_2 + c e_1 in its kernel
+    relations = {0: {2: (w, R.one), 1: (c, R.one)}}
     adapter = linalg.RingAdapter(dom)
-    rows, pivots = linalg.echelon(adapter, [[R.one, R.zero], [R.zero, R.one]], [0, 1], relations)
+    rows, pivots = linalg.echelon(adapter, [[R.zero, R.one], [R.one, R.zero]], [1, 2], relations)
     # point 0 rebuilds -w as -1, and only the degree bound on each row times
     # each relation rejects it there
     assert adapter.points_tried == 2
-    full = [[R.one, R.zero, R.neg(w)], [R.zero, R.one, R.neg(c)]]
+    full = [[R.neg(w), R.zero, R.one], [R.neg(c), R.one, R.zero]]
     assert (rows, pivots) == linalg.echelon(linalg.RingAdapter(CoeffDomain.generic(p)), full)
 
 
