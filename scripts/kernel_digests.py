@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print one sha256 per cell over the engine's per-degree kernel data.
+"""Print two sha256 per cell: the engine's per-degree kernel data and its dump.
 
-For each cell the digest covers, per computed degree: d, M, L, live,
+For each cell the first digest covers, per computed degree: d, M, L, live,
 points, the kernel rows (each with its items sorted), the kernel pivots
 and the constraint rows, as canonical JSON.  Two trees that print the same
-lines give the same answers on these cells, whatever the order of the keys
-inside a row.  Run it with the package on the path, for instance
+first digests give the same answers on these cells, whatever the order of
+the keys inside a row.  The second digest, after ``dump=``, is of the text
+``hilbert --dump-kernel`` writes for the same kernel, so equal second
+digests mean byte-identical dump files.  Run it with the package on the
+path, for instance
 
     PYTHONPATH=src python scripts/kernel_digests.py
 
@@ -16,6 +19,7 @@ of dim L.
 import hashlib
 import json
 
+from cherednik.cli import export_kernel_json
 from cherednik.dunkl import DunklContext
 from cherednik.kernel import compute_graded_kernel
 
@@ -44,7 +48,12 @@ CELLS = [
 ]
 
 
-def cell_digest(p, n, t, c, cap) -> str:
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cell_digests(p, n, t, c, cap) -> tuple[str, str]:
+    """(kernel digest, dump digest) of one cell."""
     gk = compute_graded_kernel(DunklContext.make(n=n, p=p, t=t, c=c), max_degree=cap)
     degrees = [
         {
@@ -59,14 +68,16 @@ def cell_digest(p, n, t, c, cap) -> str:
         }
         for d, dd in sorted(gk.degrees.items())
     ]
-    text = json.dumps(degrees, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    kernel_text = json.dumps(degrees, sort_keys=True, separators=(",", ":"))
+    dump_text = json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)  # as cli.cmd_hilbert writes it
+    return sha256(kernel_text), sha256(dump_text)
 
 
 def main() -> int:
     for cell in CELLS:
         p, n, t, c, cap = cell
-        print(f"p={p} n={n} t={t} c={c} cap={cap} {cell_digest(*cell)}", flush=True)
+        kernel, dump = cell_digests(*cell)
+        print(f"p={p} n={n} t={t} c={c} cap={cap} {kernel} dump={dump}", flush=True)
     return 0
 
 

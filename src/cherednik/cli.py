@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .fields import CoeffDomain, RationalFunctionField
-from .poly import ParseError, ReducedPoly, format_poly, monomials_of_degree, parse_poly, random_homogeneous
+from .poly import ParseError, ReducedPoly, format_poly, format_row, monomial_name, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z, reduce_raw
 from .kernel import (
     GradedKernel,
@@ -204,29 +204,30 @@ def cmd_hilbert(args) -> int:
 
 
 def export_kernel_json(gk) -> dict:
-    """Kernel bases as JSON arrays of formatted polynomials, keyed per degree."""
-    ctx = gk.ctx
+    """Kernel bases as JSON arrays of formatted polynomials, keyed per degree.
+
+    Each canonical RREF row is written by ``poly.format_row`` as it stands,
+    the text ``format_poly`` gives its polynomial.  Monomial names are built
+    once per degree and coefficient prefixes once per export.
+    """
+    ctx, dom, prefixes = gk.ctx, gk.ctx.domain, {}
     out = {
         "format_version": 1,  # this schema's own version, not the cache key's
         "p": ctx.p,
         "n": ctx.n,
         "t": ctx.t,
-        "c_mode": ctx.domain.c_mode,
+        "c_mode": dom.c_mode,
         "degrees": {},
     }
     for d in sorted(gk.degrees):
         dd = gk.degrees[d]
+        names = [monomial_name(m) for m in monomials_of_degree(ctx.nvars, d)]
         out["degrees"][str(d)] = {
             "dim_m": dd.dim_m,
             "dim_kernel": dd.dim_kernel,
             "dim_l": dd.dim_l,
-            "pivot_monomials": [
-                format_poly(
-                    ReducedPoly(ctx.domain, ctx.nvars, {m: ctx.domain.one})
-                )
-                for m in gk.pivot_monomials(d)
-            ],
-            "basis": [format_poly(b) for b in gk.basis_polys(d)],
+            "pivot_monomials": [names[c] for c in dd.kernel_pivots],  # coefficient 1; ker B[0] = 0 has none
+            "basis": [format_row(dom, row, names, prefixes) for row in dd.kernel_rows],
         }
     return out
 
@@ -292,11 +293,14 @@ def cmd_check(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    """``--p-list``/``--n-list``: comma-separated integers, empty items skipped."""
+    """``--p-list``/``--n-list``: comma-separated integers of at least 2, empty items skipped."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    if any(v < 2 for v in values):  # no cell has p < 2 or n < 2, and p = 0 breaks the n % p column
+        raise argparse.ArgumentTypeError(f"every entry must be at least 2: {text!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:

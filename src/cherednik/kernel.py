@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 
 from .fields import RationalFunctionField, Scalar
-from .poly import Monomial, ReducedPoly, monomial_index, monomials_of_degree
+from .poly import ReducedPoly, monomial_index, monomials_of_degree
 from .action import Transposition, apply_transposition
 from .dunkl import DunklContext, Packed, dunkl_z, dunkl_z_raw, lift_raw, pack_monomial, packed_index, reduce_groups, reduce_raw, split_orbits
 from . import linalg
@@ -222,11 +222,6 @@ class GradedKernel:
             ReducedPoly(dom, self.ctx.nvars, {monos[c]: v for c, v in row.items()})
             for row in dd.kernel_rows
         ]
-
-    def pivot_monomials(self, d: int) -> list[Monomial]:
-        dd = self.degrees[d]
-        monos = monomials_of_degree(self.ctx.nvars, d)
-        return [monos[c] for c in dd.kernel_pivots]
 
     def reduce_poly(self, f: ReducedPoly, d: int) -> ReducedPoly:
         """Normal form of a degree-d polynomial modulo ker B[d]."""

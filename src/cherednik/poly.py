@@ -242,33 +242,44 @@ def c_components(f: ReducedPoly) -> list[ReducedPoly]:
 
 # ---------------------------------------------------------------------------
 # Text format: format_poly joins terms by '+' in graded-lex descending order,
-# each a coefficient (in parentheses once it has c, a sign or a fraction)
-# times a monomial like x1^2*x2; parse_poly reads any expression of its grammar.
+# each a coefficient prefix (none for 1; in parentheses once it has c, a sign
+# or a fraction) before a monomial name like x1^2*x2, and a constant term is
+# its bare coefficient.  format_row is the one place that rule is written;
+# parse_poly reads any expression of its grammar.
 # ---------------------------------------------------------------------------
 
-def _fmt_term(domain, m: Monomial, v) -> str:
-    vars_part = "*".join(
-        f"x{i+1}^{e}" if e > 1 else f"x{i+1}" for i, e in enumerate(m) if e > 0
-    )
+def monomial_name(m: Monomial) -> str:
+    """x1^2*x3 for (2, 0, 1); the empty string for the constant monomial."""
+    return "*".join([f"x{i+1}^{e}" if e > 1 else f"x{i+1}" for i, e in enumerate(m) if e])
+
+
+def coeff_prefix(domain, v) -> str:
+    """What a term writes before its monomial name: '' for 1, else the coefficient and '*'."""
     coeff = domain.fmt(v)
-    plain_one = coeff == "1"
-    if not vars_part:
-        return f"({coeff})" if _needs_parens(coeff) else coeff
-    if plain_one:
-        return vars_part
-    if _needs_parens(coeff):
-        return f"({coeff})*{vars_part}"
-    return f"{coeff}*{vars_part}"
-
-
-def _needs_parens(coeff: str) -> bool:
-    return any(ch in coeff for ch in "c+/-w")
+    if coeff == "1":
+        return ""
+    return f"({coeff})*" if any(ch in coeff for ch in "c+/-w") else f"{coeff}*"
 
 
 def format_poly(f: ReducedPoly) -> str:
-    if f.is_zero():
-        return "0"
-    return "+".join(_fmt_term(f.domain, m, v) for m, v in f.sorted_terms())
+    """The terms of f through format_row, graded-lex descending; '0' for zero."""
+    terms = f.sorted_terms()
+    return format_row(f.domain, {i: v for i, (_, v) in enumerate(terms)}, [monomial_name(m) for m, _ in terms], {})
+
+
+def format_row(domain, row: dict[int, object], names: list[str], prefixes: dict) -> str:
+    """The text of the polynomial whose term in column c is row[c] * monomial names[c].
+
+    Ascending columns are the term order, so a row over monomials_of_degree,
+    graded-lex descending, is written as it stands.  prefixes memoizes
+    coeff_prefix by value; share one dict across the rows of one domain.
+    """
+    for v in row.values():
+        if v not in prefixes:
+            prefixes[v] = coeff_prefix(domain, v)
+    # a constant term is its prefix without the '*', or 1
+    terms = [prefixes[v] + names[c] if names[c] else (prefixes[v][:-1] or "1") for c, v in sorted(row.items())]
+    return "+".join(terms) or "0"
 
 
 _TOKEN_RE = re.compile(r"x\d+|\d+|[cw()+\-*/^]")

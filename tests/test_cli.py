@@ -9,12 +9,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cherednik
 from cherednik import cli, kernel
 from cherednik.cache import RunCache, RunRecord
 from cherednik.cli import _run_cell
 from cherednik.dunkl import DunklContext
+from cherednik.kernel import compute_graded_kernel
+from cherednik.poly import ReducedPoly, format_poly, monomials_of_degree
 
 PKG = [sys.executable, "-m", "cherednik"]
 # the directory holding the package this test process imported, so the CLI
@@ -405,6 +408,17 @@ def test_sweep_empty_grid(tmp_path):
     assert len(content) == 1 and content[0].startswith("p,")
 
 
+@pytest.mark.parametrize("p_list, n_list, bad", [("0,2", "3", "--p-list"), ("2", "1,3", "--n-list")])
+def test_sweep_entry_below_2_is_a_usage_error(tmp_path, p_list, n_list, bad):
+    # p = 0 used to raise ZeroDivisionError outside the per-cell guard and end the sweep
+    argv = ["sweep", "--p-list", p_list, "--n-list", n_list, "--t", "0", "--out", str(tmp_path / "grid")]
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2
+    assert f"argument {bad}: every entry must be at least 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "grid").exists()
+
+
 @pytest.mark.parametrize("p_list, n_list, bad", [("2,x", "3", "--p-list"), ("2", "3,4.5", "--n-list")])
 def test_sweep_malformed_list_is_a_usage_error(tmp_path, p_list, n_list, bad):
     argv = ["sweep", "--p-list", p_list, "--n-list", n_list, "--t", "0", "--out", str(tmp_path / "grid")]
@@ -439,6 +453,52 @@ def test_dump_kernel_export(tmp_path):
     assert d2["dim_l"] == 2
     assert all(isinstance(s, str) for s in d2["basis"])
 
+
+# sha256 of the whole --dump-kernel file, taken while the export still went
+# through a ReducedPoly per row; the t=1 cells write F_2(c) and F_3(c) fractions
+DUMP_PINS = {
+    (2, 9, 0): "f62311d78f9de0c6462928f20a24c68d84c6562799f867d783b20870bd8c24c3",
+    (5, 6, 0): "ff22719d7de15d0788c0c7b58a2124348aaf33fa81093100c68b72ba93c37e6c",
+    (2, 5, 1): "31530b82e519a793f2f7f8971d2a3202c5e31bef6c62ad2637f4932d277557cb",
+    (3, 4, 1): "34b0fc07c75ab3247061a4e90c57260cfd64aee6bf5913ea8bc6971631a88542",
+}
+
+
+@pytest.mark.parametrize("p, n, t", list(DUMP_PINS))
+def test_dump_kernel_bytes_are_pinned(tmp_path, p, n, t):
+    target = tmp_path / "kernel.json"
+    argv = ["hilbert", "--p", str(p), "--n", str(n), "--t", str(t), "--dump-kernel", str(target)]
+    assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DUMP_PINS[p, n, t]
+
+
+def format_degree_via_polys(gk, d):
+    """The export's former route: a ReducedPoly per basis row and a one-term
+    ReducedPoly per pivot, each written by format_poly in grlex order."""
+    ctx, dom = gk.ctx, gk.ctx.domain
+    monos = monomials_of_degree(ctx.nvars, d)
+    pivots = [format_poly(ReducedPoly(dom, ctx.nvars, {monos[c]: dom.one})) for c in gk.degrees[d].kernel_pivots]
+    return pivots, [format_poly(b) for b in gk.basis_polys(d)]
+
+
+# (p, n, t, c): F_p with c = 0 and c != 0, generic c at p = 2 and at p = 3
+# (the generic (2,4), (2,5) and (3,4) kernels hold fractions in c by degree 8)
+EXPORT_CELLS = [
+    (2, 3, 0, 1), (3, 4, 0, 1), (5, 4, 0, 1), (3, 4, 0, 0), (3, 4, 1, 0), (5, 4, 1, 0),
+    (3, 4, 1, 2), (2, 4, 1, 1), (2, 4, 1, "generic"), (2, 5, 1, "generic"), (3, 4, 1, "generic"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=st.sampled_from(EXPORT_CELLS), cap=st.integers(1, 8))
+def test_export_matches_format_poly_of_the_basis(cell, cap):
+    p, n, t, c = cell
+    gk = compute_graded_kernel(DunklContext.make(n=n, p=p, t=t, c=c), max_degree=cap)
+    exported = cli.export_kernel_json(gk)["degrees"]
+    assert sorted(map(int, exported)) == sorted(gk.degrees)
+    for d in gk.degrees:
+        got = exported[str(d)]
+        assert (got["pivot_monomials"], got["basis"]) == format_degree_via_polys(gk, d)
 
 
 def test_dump_kernel_computes_the_kernel_once(tmp_path, monkeypatch, capsys):

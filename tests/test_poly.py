@@ -9,6 +9,9 @@ from cherednik.poly import (
     ReducedPoly,
     c_components,
     format_poly,
+    format_row,
+    monomial_index,
+    monomial_name,
     monomials_of_degree,
     parse_poly,
     poly_arith,
@@ -124,6 +127,10 @@ F3, F3C = CoeffDomain.prime(3), CoeffDomain.generic(3)
         ("", F3C, ParseError),
         ("x0", F3C, ParseError),
         ("x4", F3C, ParseError),
+        # a constant term is its bare coefficient, last in the term order
+        ("x1+2+c", F3C, "x1+(c+2)"),
+        ("x2-1", F3, "x2+2"),
+        ("c/(c+1)+x1^2", F3C, "x1^2+((c)/(c+1))"),
     ],
 )
 def test_parse_table(text, domain, expected):
@@ -148,6 +155,24 @@ def test_parse_format_roundtrip(p, mode, seed):
     dom = CoeffDomain.generic(p) if mode == "generic" else CoeffDomain.prime(p)
     f = random_homogeneous(dom, 3, rng.randint(0, 4), rng, max_terms=5)
     assert parse_poly(format_poly(f), 3, dom) == f
+
+
+@pytest.mark.parametrize("p,mode", [(2, "generic"), (3, "generic"), (5, "value")])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_format_row_matches_format_poly(p, mode, seed):
+    rng = random.Random(seed)
+    dom = CoeffDomain.generic(p) if mode == "generic" else CoeffDomain.prime(p)
+    d = rng.randint(0, 4)
+    f = random_homogeneous(dom, 3, d, rng, max_terms=6)
+    if rng.random() < 0.5:  # fractions in c, or a unit other than 1 over F_p
+        den = dom.from_c_poly([rng.randrange(p), 1]) if mode == "generic" else dom.from_int(rng.randrange(1, p))
+        f = f.scalar_mul(dom.inv(den))
+    idx, names, prefixes = monomial_index(3, d), [monomial_name(m) for m in monomials_of_degree(3, d)], {}
+    for g in (f, f.neg()):  # one prefix memo serves both rows
+        items = [(idx[m], v) for m, v in g.terms.items()]
+        rng.shuffle(items)  # the row's key order must not matter
+        assert format_row(dom, dict(items), names, prefixes) == format_poly(g)
 
 
 @settings(max_examples=60, deadline=None)
