@@ -2,8 +2,9 @@
 """Print two sha256 per cell: the engine's per-degree kernel data and its dump.
 
 For each cell the first digest covers, per computed degree: d, M, L, live,
-points, the kernel rows (each with its items sorted), the kernel pivots
-and the constraint rows, as canonical JSON.  Two trees that print the same
+points, the kernel rows (each with its items sorted) and pivots that
+``GradedKernel.kernel`` derives, and the constraint rows, as canonical JSON
+(``kernel_text``).  Two trees that print the same
 first digests give the same answers on these cells, whatever the order of
 the keys inside a row.  The second digest, after ``dump=``, is of the text
 ``hilbert --dump-kernel`` writes for the same kernel, so equal second
@@ -52,25 +53,29 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def kernel_text(gk) -> str:
+    """The per-degree kernel data of ``gk`` as canonical JSON."""
+    degrees = []
+    for d, dd in sorted(gk.degrees.items()):
+        rows, pivots = gk.kernel(d)
+        degrees.append({
+            "d": d,
+            "M": dd.dim_m,
+            "L": len(dd.pivots),
+            "live": dd.live,
+            "points": dd.points,
+            "kernel_rows": [sorted(row.items()) for row in rows],
+            "kernel_pivots": pivots,
+            "constraint_rows": dd.constraint_rows,
+        })
+    return json.dumps(degrees, sort_keys=True, separators=(",", ":"))
+
+
 def cell_digests(p, n, t, c, cap) -> tuple[str, str]:
     """(kernel digest, dump digest) of one cell."""
     gk = compute_graded_kernel(DunklContext.make(n=n, p=p, t=t, c=c), max_degree=cap)
-    degrees = [
-        {
-            "d": d,
-            "M": dd.dim_m,
-            "L": dd.dim_l,
-            "live": dd.live,
-            "points": dd.points,
-            "kernel_rows": [sorted(row.items()) for row in dd.kernel_rows],
-            "kernel_pivots": dd.kernel_pivots,
-            "constraint_rows": dd.constraint_rows,
-        }
-        for d, dd in sorted(gk.degrees.items())
-    ]
-    kernel_text = json.dumps(degrees, sort_keys=True, separators=(",", ":"))
     dump_text = json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)  # as cli.cmd_hilbert writes it
-    return sha256(kernel_text), sha256(dump_text)
+    return sha256(kernel_text(gk)), sha256(dump_text)
 
 
 def main() -> int:

@@ -34,7 +34,6 @@ from .kernel import (
     gram_rows,
     is_in_kernel,
     is_singular,
-    reduce_from_the_right,
     slot_symmetry_classes,
 )
 from .catalog import singular_catalog
@@ -80,12 +79,13 @@ def _run_cell(
     c: str,
     max_degree: int | None,
     budget_seconds: float | None = None,
-) -> tuple[RunRecord, GradedKernel | None]:
-    """(RunRecord, the graded kernel it was read from, or None if it stopped short).
+) -> tuple[RunRecord, GradedKernel]:
+    """(RunRecord, the graded kernel it was read from).
 
     A run stopped by the budget or by ``max_degree`` before the first zero
     of dim L gets ``status="exceeded_cap"``, and the dims and the
-    ``timing.per_degree`` rows of the degrees it finished.
+    ``timing.per_degree`` rows of the degrees it finished; its kernel holds
+    those degrees.
     """
     start = time.monotonic()
     record = RunRecord(key=RunRecord.make_key(p, n, t, c))
@@ -107,7 +107,7 @@ def _run_cell(
         else:
             notes.append(f"kernel run exceeded {budget_seconds}s at degree {stop}")
         record.timing["wall_time_s"] = round(time.monotonic() - start, 3)
-        return record, None
+        return record, gk
     series = computed_hilbert(gk)
     record.series = series.to_json()
     cong = CongruenceData.of(n, p)
@@ -157,17 +157,18 @@ def _print_record(record: RunRecord) -> None:
 
 
 def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, use_cache=True):
-    """(RunRecord, kernel or None): a cache hit, noted as one, else a run.
+    """(RunRecord, kernel or None): a cache hit, noted as one, with no
+    kernel, else a run.
 
-    Only a complete run is stored: lookups see no cap or budget.  With
-    use_cache False the cache is neither read nor written.
+    Only a complete run, status "ok", is stored: lookups see no cap or
+    budget.  With use_cache False the cache is neither read nor written.
     """
     record = cache.lookup(RunRecord.make_key(p, n, t, c)) if use_cache else None
     if record is not None:
         record.notes = list(record.notes) + ["cache hit"]
         return record, None
     record, gk = _run_cell(p, n, t, c, max_degree, budget_seconds)
-    if use_cache and gk is not None:
+    if use_cache and record.status == "ok":
         cache.store(record)
     return record, gk
 
@@ -183,8 +184,8 @@ def cmd_hilbert(args) -> int:
         return EXIT_USAGE
     cache = RunCache(args.cache_dir)
     record, gk = _cached_cell(cache, args.p, args.n, args.t, c, args.max_degree, use_cache=not args.no_cache)
-    if args.dump_kernel and record.status == "ok":
-        if gk is None:  # a cache hit: rerun to the first zero, as the stored record did
+    if args.dump_kernel:  # the degrees the record's dims cover
+        if gk is None:  # a cache hit, always complete: rerun to the first zero, as the stored record did
             gk = compute_graded_kernel(ctx)
         Path(args.dump_kernel).write_text(
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
@@ -220,14 +221,14 @@ def export_kernel_json(gk) -> dict:
         "degrees": {},
     }
     for d in sorted(gk.degrees):
-        dd = gk.degrees[d]
+        dd, (rows, pivots) = gk.degrees[d], gk.kernel(d)
         names = [monomial_name(m) for m in monomials_of_degree(ctx.nvars, d)]
         out["degrees"][str(d)] = {
             "dim_m": dd.dim_m,
             "dim_kernel": dd.dim_kernel,
             "dim_l": dd.dim_l,
-            "pivot_monomials": [names[c] for c in dd.kernel_pivots],  # coefficient 1; ker B[0] = 0 has none
-            "basis": [format_row(dom, row, names, prefixes) for row in dd.kernel_rows],
+            "pivot_monomials": [names[c] for c in pivots],  # coefficient 1; ker B[0] = 0 has none
+            "basis": [format_row(dom, row, names, prefixes) for row in rows],
         }
     return out
 
@@ -409,13 +410,7 @@ def cmd_selftest(args) -> int:
     for p, t, n, dmax in [(2, 0, 3, 5), (2, 1, 3, 6), (3, 0, 4, 5)]:
         ctx = DunklContext.make(n=n, p=p, t=t)
         gk = compute_graded_kernel(ctx)
-        ok = True
-        for d in range(1, min(dmax, max(gk.degrees)) + 1):
-            data = gk.degrees.get(d) or gk.compute_degree(d)
-            rows, pivots = gram_oracle_kernel(d, ctx)
-            if rows != data.kernel_rows or pivots != data.kernel_pivots:
-                ok = False
-                break
+        ok = all(gram_oracle_kernel(d, ctx) == gk.kernel(d) for d in range(1, min(dmax, max(gk.degrees)) + 1))
         report(f"oracle equivalence p={p} t={t} n={n} d<={dmax}", ok)
 
     slot_bad, live_bad, live_degrees = [], [], 0
@@ -425,12 +420,12 @@ def cmd_selftest(args) -> int:
         for d in range(1, 8):
             R, ncols = gk.compute_degree(d - 1).constraint_rows, len(monomials_of_degree(n - 1, d))
             every = [r for i in range(1, n) for r in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
-            full = reduce_from_the_right(adapter, every, range(ncols), {}, ncols)
-            if d <= 3 and reduce_from_the_right(adapter, _stacked_rows(R, d, ctx, range(ncols)), range(ncols), {}, ncols) != full:
+            full = linalg.echelon(adapter, every)
+            if d <= 3 and linalg.echelon(adapter, _stacked_rows(R, d, ctx, range(ncols))) != full:
                 slot_bad.append(f"(p={p}, t={t}, n={n}, c={c}, d={d})")
             data = gk.compute_degree(d)
             live_degrees += data.live < ncols
-            if (data.kernel_rows, data.kernel_pivots, data.constraint_rows) != full:
+            if (data.constraint_rows, data.pivots) != full:
                 live_bad.append(f"(p={p}, t={t}, n={n}, c={c}, d={d})")
             if not data.dim_l:
                 break

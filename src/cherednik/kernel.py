@@ -8,11 +8,14 @@ image D^a q.  Degree by degree,
 
 which turns each graded piece into a plain matrix kernel: stack the Dunkl
 matrices composed with the previous degree's constraint rows and reduce the
-stack once, from the right (``reduce_from_the_right``).  Columns stay in
-graded-lex order throughout.  Each RREF row's pivot is its largest column;
-the pivots are the standard monomials S_d, |S_d| = dim L[d], the rows are
-the next degree's constraint rows, and free column f gives the canonical
-kernel vector v_f = e_f minus column f of the rows.
+stack once, from the right (``linalg.echelon``).  Columns stay in graded-lex
+order throughout.  Each RREF row's pivot is its largest column; the pivots
+are the standard monomials S_d, |S_d| = dim L[d], and the rows are the next
+degree's constraint rows.  A degree keeps only these rows and S_d, the
+quotient L[d] = k[x]_d / ker B[d]: the kernel basis is a view derived on
+read (``GradedKernel.kernel``, ``kernel_basis``), free column f giving the
+canonical kernel vector v_f = e_f minus column f of the rows, and the normal
+form of f has the coefficient row_s . f / row_s[s] at each s in S_d.
 Only R D_1 is composed, R the constraint rows and D_i the matrix of
 D_{y_i - y_n}.  s = (1 i) fixes y_n and permutes monomials by P_s, so
 R D_i = (R P_s) D_1 P_s, and R P_s = G R with G invertible, as the row space
@@ -20,15 +23,16 @@ of R, ker B[d-1]^perp, is S_{n-1}-stable: the rows of R D_1 with their
 columns permuted by s span the row space of R D_i.
 The stack is built and reduced on the staircase of ker B only.  ker B is an
 H-submodule of k[x], so an ideal: x_j ker B[d-1] lies in ker B[d].  A
-degree-d monomial m is dead if m = x_j lead(v) for v in the canonical
-degree-(d-1) kernel basis; the first such (v, j) gives the relation x_j v,
-1 at m with its other entries w_m right of m, as x_j keeps the term order.
-The other monomials are live, C_d.  A row of the row space that is zero on
-C_d is zero at each dead m in turn, from the right, so the restriction to
-C_d is injective on the row space: the RREF on C_d is the RREF of the stack
-built on C_d alone, and each of its rows extends to the dead columns by
-r_m = -sum_k r_k w_m[k] (``linalg.extend``).  D_1 is built only on C_d and
-its images under the slot swaps; an empty C_d means L[d] = 0.
+degree-d monomial m is live, in C_d, iff m / x_j lies in S_{d-1} for every
+x_j dividing m.  A dead m has a free divisor f = m / x_j; the one with the
+largest j, the lex-largest, gives the relation x_j v_f, 1 at m with its
+other entries w_m right of m, as x_j keeps the term order.  A row of the
+row space that is zero on C_d is zero at each dead m in turn, from the
+right, so the restriction to C_d is injective on the row space: the RREF on
+C_d is the RREF of the stack built on C_d alone, and each of its rows
+extends to the dead columns by r_m = -sum_k r_k w_m[k] (``linalg.extend``).
+D_1 is built only on C_d and its images under the slot swaps; an empty C_d
+means L[d] = 0.
 An independent oracle builds the full Gram matrix by a degree recursion on
 its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it
 on every column with no relations; it builds every slot's D_j directly.
@@ -109,71 +113,78 @@ def _stacked_rows(R: list[list], d: int, ctx: DunklContext, cols) -> list[list]:
     return [[row[j] for j in positions] for positions in ([at[k] for k in swap] for swap in swaps) for row in first]
 
 
-def _staircase(prev: "DegreeData", d: int, nv: int) -> tuple[list[int], dict[int, dict]]:
+def _staircase(pivots: list[int], rref: list[dict], d: int, nv: int, domain) -> tuple[list[int], dict[int, dict]]:
     """(live columns, relations) of degree d: the staircase of ker B.
 
-    m = x_j lead(v) is dead for v in the degree-(d-1) kernel basis; the first
-    such (v, j) gives x_j v, a vector of ker B[d] that is 1 at m, and the
-    relation w_m holds its other entries, all right of m, as x_j keeps the
-    column order.  With no live column there is no row to extend, and no
-    relation is built.
+    ``pivots`` is S_{d-1} and ``rref`` the degree-(d-1) RREF rows, pivot
+    entries 1.  m is live iff m / x_j lies in S_{d-1} for every x_j dividing
+    m.  A dead m takes the free f = m / x_j with the largest j: x_j v_f is a
+    vector of ker B[d] that is 1 at m, and the relation w_m holds its other
+    entries, minus column f of the rows moved by x_j, all right of m, as x_j
+    keeps the column order.  With no live column there is no row to extend,
+    and no relation is built.
     """
-    monos, idx = monomials_of_degree(nv, d - 1), monomial_index(nv, d)
+    prev, standard = monomial_index(nv, d - 1), set(pivots)
+    live, dead = [], {}
+    for k, m in enumerate(monomials_of_degree(nv, d)):
+        for j in range(nv - 1, -1, -1):
+            if m[j] and (f := prev[m[:j] + (m[j] - 1,) + m[j + 1 :]]) not in standard:
+                dead[k] = f, j
+                break
+        else:
+            live.append(k)
+    if not live:
+        return [], {}
+    monos, idx, column = monomials_of_degree(nv, d - 1), monomial_index(nv, d), {}
+    for s, row in zip(pivots, rref):
+        for f, v in row.items():
+            column.setdefault(f, []).append((s, domain.neg(v)))
 
     def shift(k: int, j: int) -> int:
         m = monos[k]
         return idx[m[:j] + (m[j] + 1,) + m[j + 1 :]]
 
-    first: dict[int, tuple] = {}
-    for v, pc in zip(prev.kernel_rows, prev.kernel_pivots):
-        for j in range(nv):
-            first.setdefault(shift(pc, j), (v, pc, j))
-    live = [k for k in range(len(idx)) if k not in first]
-    if not live:
-        return [], {}
-    return live, {m: {shift(k, j): x for k, x in v.items() if k != pc} for m, (v, pc, j) in first.items()}
+    return live, {m: {shift(s, j): v for s, v in column.get(f, ())} for m, (f, j) in dead.items()}
 
 
-def reduce_from_the_right(adapter: linalg.RingAdapter, rows: list[list], cols, relations: dict, ncols: int):
-    """(kernel rows, kernel pivots, constraint rows) of a matrix A from its
-    RREF from the right on the columns ``cols``, extended to every column by
-    ``relations`` (``linalg.echelon``): each other column m maps to the
-    entries, right of m, of a vector of ker A that is 1 at m.  The constraint
-    rows are that RREF, ordered by pivot, descending, with denominators
-    cleared and content 1; they span the row space of A."""
-    ech_rows, ech_pivots = linalg.echelon(adapter, rows, cols, relations)
-    rref = linalg.rref_scalar_rows(adapter, ech_rows, ech_pivots)
-    return *linalg.kernel_from_rref(adapter.domain, rref, ech_pivots, ncols), ech_rows
+def kernel_basis(adapter: linalg.RingAdapter, rows: list[list], pivots: list[int], ncols: int):
+    """ker A in canonical RREF, (rows, pivots), from the rows and pivots
+    ``linalg.echelon`` gives for A: its RREF from the right."""
+    rref = linalg.rref_scalar_rows(adapter, rows, pivots)
+    return linalg.kernel_from_rref(adapter.domain, rref, pivots, ncols)
 
 
 @dataclass
 class DegreeData:
-    """ker B[d] in canonical RREF and the constraint rows ``reduce_from_the_right`` gave."""
+    """Degree d of the quotient: the constraint rows, the RREF from the right
+    of ker B[d]^perp as ``linalg.echelon`` gives it, and their pivots S_d."""
 
     degree: int
     dim_m: int
-    kernel_rows: list[dict[int, object]]
-    kernel_pivots: list[int]
-    dim_l: int
-    constraint_rows: list[list] = field(repr=False, default_factory=list)
+    constraint_rows: list[list] = field(repr=False)
+    pivots: list[int]
     live: int = 1  # |C_d|: the columns left after the relations from degree d-1
     points: int = 0  # evaluation points the F_p(c) elimination tried, dropped ones included
     seconds: float = 0.0
 
     @property
+    def dim_l(self) -> int:
+        return len(self.pivots)
+
+    @property
     def dim_kernel(self) -> int:
-        return len(self.kernel_rows)
+        return self.dim_m - len(self.pivots)
 
 
 class GradedKernel:
-    """Per-degree reduced bases of ker B plus quotient data for the quotient."""
+    """Per-degree constraint rows and standard monomials of the quotient by ker B."""
 
     def __init__(self, ctx: DunklContext):
         self.ctx = ctx
         self.adapter = linalg.RingAdapter.of(ctx.domain)
         self.first_zero_degree: int | None = None
         # degree 0: M = L = k, no kernel, the constraint row 1
-        self.degrees: dict[int, DegreeData] = {0: DegreeData(0, 1, [], [], 1, [[self.adapter.one]])}
+        self.degrees: dict[int, DegreeData] = {0: DegreeData(0, 1, [[self.adapter.one]], [0])}
 
     @property
     def completed(self) -> bool:
@@ -188,19 +199,16 @@ class GradedKernel:
         if d - 1 not in self.degrees:
             self.compute_degree(d - 1)
         start = time.perf_counter()
-        ctx, points_before = self.ctx, self.adapter.points_tried
-        prev = self.degrees[d - 1]
-        ncols = len(monomials_of_degree(ctx.nvars, d))
-        live, relations = _staircase(prev, d, ctx.nvars)
+        ctx, adapter = self.ctx, self.adapter
+        points_before, prev = adapter.points_tried, self.degrees[d - 1]
+        rref = linalg.rref_scalar_rows(adapter, prev.constraint_rows, prev.pivots)
+        live, relations = _staircase(prev.pivots, rref, d, ctx.nvars, ctx.domain)
         # no live column: L[d] = 0 and ker B[d] = M[d], with no Dunkl image built
         stacked = _stacked_rows(prev.constraint_rows, d, ctx, live) if live else []
-        kernel_rows, kernel_pivots, constraint_rows = reduce_from_the_right(
-            self.adapter, stacked, live, relations, ncols
-        )
-        points = self.adapter.points_tried - points_before
+        rows, pivots = linalg.echelon(adapter, stacked, live, relations)
         data = DegreeData(
-            d, ncols, kernel_rows, kernel_pivots, len(constraint_rows), constraint_rows,
-            len(live), points, time.perf_counter() - start,
+            d, len(monomials_of_degree(ctx.nvars, d)), rows, pivots, len(live),
+            adapter.points_tried - points_before, time.perf_counter() - start,
         )
         self.degrees[d] = data
         return data
@@ -214,27 +222,35 @@ class GradedKernel:
             for d, dd in sorted(self.degrees.items())
         }
 
+    def kernel(self, d: int):
+        """ker B[d] in canonical RREF, (rows, pivots), derived from degree d's
+        constraint rows, which are computed first if need be."""
+        dd = self.compute_degree(d)
+        return kernel_basis(self.adapter, dd.constraint_rows, dd.pivots, dd.dim_m)
+
     def basis_polys(self, d: int) -> list[ReducedPoly]:
-        dd = self.degrees[d]
         monos = monomials_of_degree(self.ctx.nvars, d)
-        dom = self.ctx.domain
         return [
-            ReducedPoly(dom, self.ctx.nvars, {monos[c]: v for c, v in row.items()})
-            for row in dd.kernel_rows
+            ReducedPoly(self.ctx.domain, self.ctx.nvars, {monos[c]: v for c, v in row.items()})
+            for row in self.kernel(d)[0]
         ]
 
     def reduce_poly(self, f: ReducedPoly, d: int) -> ReducedPoly:
-        """Normal form of a degree-d polynomial modulo ker B[d]."""
-        dd = self.degrees[d]
-        idx = monomial_index(self.ctx.nvars, d)
-        monos = monomials_of_degree(self.ctx.nvars, d)
-        vec = {idx[m]: v for m, v in f.terms.items()}
-        red = linalg.reduce_by_rref(
-            self.ctx.domain, vec, dd.kernel_rows, dd.kernel_pivots
-        )
-        return ReducedPoly(
-            self.ctx.domain, self.ctx.nvars, {monos[c]: v for c, v in red.items()}
-        )
+        """Normal form of a degree-d polynomial modulo ker B[d]: at each s in
+        S_d the coefficient row_s . f / row_s[s], row_s the constraint row
+        with pivot s, the value reduction by the kernel basis gives."""
+        dd, dom, nv = self.compute_degree(d), self.ctx.domain, self.ctx.nvars
+        idx, monos = monomial_index(nv, d), monomials_of_degree(nv, d)
+        vec, zero, div = [(idx[m], v) for m, v in f.terms.items()], self.adapter.zero, self.adapter.scalar_div
+        terms = {}
+        for row, s in zip(dd.constraint_rows, dd.pivots):
+            acc = dom.zero
+            for k, v in vec:
+                if row[k] != zero:
+                    acc = dom.add(acc, dom.mul(div(row[k], row[s]), v))
+            if not dom.is_zero(acc):
+                terms[monos[s]] = acc
+        return ReducedPoly(dom, nv, terms)
 
     # -- consistency checks -------------------------------------------------------
 
@@ -391,7 +407,7 @@ def gram_oracle_kernel(
             "use the recursive kernel engine instead"
         )
     adapter = linalg.RingAdapter.of(ctx.domain)
-    return reduce_from_the_right(adapter, gram_rows(d, ctx), range(n_monos), {}, n_monos)[:2]
+    return kernel_basis(adapter, *linalg.echelon(adapter, gram_rows(d, ctx)), n_monos)
 
 
 # ---------------------------------------------------------------------------

@@ -302,18 +302,6 @@ def natural_kernel(domain: CoeffDomain, rref_rows, pivot_cols, columns) -> list[
     return list(vectors.values())
 
 
-def reduce_by_rref(
-    domain: CoeffDomain, vec: dict[int, object], rref_rows, pivot_cols
-) -> dict[int, object]:
-    """Normal form of a sparse vector modulo the span of RREF rows."""
-    v = dict(vec)
-    for pc, row in zip(pivot_cols, rref_rows):
-        coef = v.get(pc)
-        if coef is not None and not domain.is_zero(coef):
-            domain.subtract_multiple(v, coef, domain.prepare(row))
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Generic c: eliminate at points, rebuild in F_p(c), certify
 # ---------------------------------------------------------------------------

@@ -207,8 +207,9 @@ def test_criterion_7_property_suites():
         gk = kernel_for(p, n, 0)
         for d in range(1, gk.first_zero_degree + 1):
             rows, pivots = gram_oracle_kernel(d, DunklContext.make(n=n, p=p, t=0))
-            assert rows == gk.degrees[d].kernel_rows, (p, n, d)
-            assert pivots == gk.degrees[d].kernel_pivots, (p, n, d)
+            kernel_rows, kernel_pivots = gk.kernel(d)
+            assert rows == kernel_rows, (p, n, d)
+            assert pivots == kernel_pivots, (p, n, d)
     # shape constraint on every t=1 run; baby Verma coefficientwise bound
     for p, n, t in [(2, 3, 1), (2, 5, 1)]:
         series = computed_hilbert(kernel_for(p, n, t))

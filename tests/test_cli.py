@@ -477,7 +477,7 @@ def format_degree_via_polys(gk, d):
     ReducedPoly per pivot, each written by format_poly in grlex order."""
     ctx, dom = gk.ctx, gk.ctx.domain
     monos = monomials_of_degree(ctx.nvars, d)
-    pivots = [format_poly(ReducedPoly(dom, ctx.nvars, {monos[c]: dom.one})) for c in gk.degrees[d].kernel_pivots]
+    pivots = [format_poly(ReducedPoly(dom, ctx.nvars, {monos[c]: dom.one})) for c in gk.kernel(d)[1]]
     return pivots, [format_poly(b) for b in gk.basis_polys(d)]
 
 
@@ -534,6 +534,18 @@ def test_dump_kernel_on_a_cache_hit_matches_the_record(tmp_path):
     dumped = json.loads(target.read_text())["degrees"]
     assert {d: [v["dim_m"], v["dim_kernel"], v["dim_l"]] for d, v in dumped.items()} == rec["dims"]
     assert sorted(map(int, dumped)) == list(range(10))
+
+
+def test_dump_kernel_of_a_capped_run_covers_its_dims(tmp_path):
+    # p=3, n=4, t=1 reaches dim L = 0 at degree 19; a run stopped at degree 3
+    # dumps the degrees it finished, the ones its record's dims cover
+    target = tmp_path / "kernel.json"
+    args = ["hilbert", "--p", "3", "--n", "4", "--t", "1", "--max-degree", "3", "--no-cache"]
+    rec = record_of(run_cli(args + ["--dump-kernel", str(target)], tmp_path))
+    assert rec["status"] == "exceeded_cap"
+    dumped = json.loads(target.read_text())["degrees"]
+    assert {d: [v["dim_m"], v["dim_kernel"], v["dim_l"]] for d, v in dumped.items()} == rec["dims"]
+    assert sorted(map(int, dumped)) == [0, 1, 2, 3]
 
 
 @pytest.mark.slow

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,6 @@ from cherednik.kernel import (
     is_in_kernel,
     is_singular,
     kernel_at_degree,
-    reduce_from_the_right,
     ResourceLimitError,
     slot_symmetry_classes,
 )
@@ -99,16 +100,16 @@ def test_points_per_degree_do_not_depend_on_earlier_runs():
 @pytest.mark.parametrize("p, n, t", [(2, 5, 1), (3, 4, 1), (2, 9, 0), (5, 6, 0)])
 def test_constraint_rows_are_dual_to_the_kernel(p, n, t):
     # the constraint rows are the RREF from the right: their largest columns
-    # are the standard monomials S_d, the columns that are not kernel pivots,
-    # and S_d fixes the live columns of the next degree
+    # are the standard monomials S_d, the stored pivots and the columns that
+    # are not kernel pivots, and S_d fixes the live columns of the next degree
     ctx = ctx_of(n, p, t)
     gk = compute_graded_kernel(ctx)
     assert gk.completed
     zero, nv = linalg.RingAdapter.of(ctx.domain).zero, ctx.nvars
     for d, dd in sorted(gk.degrees.items()):
         tops = [max(k for k, v in enumerate(row) if v != zero) for row in dd.constraint_rows]
-        assert len(set(tops)) == len(tops)
-        standard = set(range(dd.dim_m)) - set(dd.kernel_pivots)
+        assert dd.pivots == tops == sorted(set(tops), reverse=True)
+        standard = set(range(dd.dim_m)) - set(gk.kernel(d)[1])
         assert set(tops) == standard and len(standard) == dd.dim_l
         for row, top in zip(dd.constraint_rows, tops):
             assert all(row[k] == zero for k in tops if k != top)
@@ -120,6 +121,54 @@ def test_constraint_rows_are_dual_to_the_kernel(p, n, t):
                 for m in monomials_of_degree(nv, d + 1)
             )
             assert gk.degrees[d + 1].live == live
+
+
+@pytest.mark.parametrize("p, n, t", [(2, 5, 1), (3, 4, 1), (2, 9, 0), (5, 6, 0)])
+def test_normal_form_reads_the_constraint_rows(p, n, t):
+    # the normal form lies on S_d, is idempotent, leaves f - nf(f) in ker B[d],
+    # fixes each x^s with s in S_d, and is what reduction by the kernel basis gives
+    ctx = ctx_of(n, p, t)
+    gk = compute_graded_kernel(ctx)
+    dom, nv, rng = ctx.domain, ctx.nvars, random.Random(p * 100 + n)
+    for d, dd in sorted(gk.degrees.items()):
+        monos = monomials_of_degree(nv, d)
+        standard = {monos[s] for s in dd.pivots}
+        for m in rng.sample(sorted(standard), min(4, len(standard))):
+            x_s = ReducedPoly(dom, nv, {m: dom.one})
+            assert gk.reduce_poly(x_s, d) == x_s, (d, m)
+        rows, pivots = gk.kernel(d)
+        for f in [random_homogeneous(dom, nv, d, rng, max_terms=4) for _ in range(3)]:
+            nf = gk.reduce_poly(f, d)
+            assert set(nf.terms) <= standard, (d, f)
+            assert gk.reduce_poly(nf, d) == nf, (d, f)
+            assert gk.reduce_poly(f.sub(nf), d).is_zero(), (d, f)
+            vec = {monos.index(m): v for m, v in f.terms.items()}
+            for pc, row in zip(pivots, rows):  # subtract f's coefficient at each kernel pivot times its row
+                coef = vec.get(pc, dom.zero)
+                for k, x in row.items():
+                    vec[k] = dom.sub(vec.get(k, dom.zero), dom.mul(coef, x))
+            assert nf == ReducedPoly(dom, nv, {monos[k]: v for k, v in vec.items() if not dom.is_zero(v)}), (d, f)
+
+
+# scripts/kernel_digests.py's first digest, taken while each degree still
+# stored its kernel basis: d, M, L, live, points, the kernel rows and pivots
+# and the constraint rows, so a change that moves an answer or the number of
+# evaluation points tried shows here
+KERNEL_DIGESTS = {
+    (2, 5, 1, "generic"): "3cb972db5cd5eeda80c7c42cb203265ef1b5f3ff1b971933e9cee37cedd1dec1",
+    (3, 4, 1, "generic"): "af1dcfae0c32071ab15016e6818f9dd3703c3a6baec966abe358be9856a14172",
+    (2, 9, 0, 1): "45324191171f55b9a94044dac3027ed5616a1373190ce5028d889ce4b2fe8dab",
+}
+
+
+@pytest.mark.parametrize("p, n, t, c", list(KERNEL_DIGESTS))
+def test_kernel_digests_are_pinned(p, n, t, c):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "kernel_digests.py"
+    spec = importlib.util.spec_from_file_location("kernel_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    gk = compute_graded_kernel(ctx_of(n, p, t, c))
+    assert script.sha256(script.kernel_text(gk)) == KERNEL_DIGESTS[p, n, t, c]
 
 
 def test_kernel_at_degree_wrapper():
@@ -139,10 +188,10 @@ def test_oracle_equivalence_small(p, n, t, dmax):
     ctx = ctx_of(n, p, t)
     gk = GradedKernel(ctx)
     for d in range(1, dmax + 1):
-        data = gk.compute_degree(d)
+        kernel_rows, kernel_pivots = gk.kernel(d)
         rows, pivots = gram_oracle_kernel(d, ctx)
-        assert rows == data.kernel_rows
-        assert pivots == data.kernel_pivots
+        assert rows == kernel_rows
+        assert pivots == kernel_pivots
 
 
 @pytest.mark.parametrize("p", [65521, 2**31 - 1])
@@ -153,7 +202,7 @@ def test_large_p_matches_the_oracle_and_the_baby_verma_series(p, n):
     ctx = ctx_of(n, p, 0)
     gk = compute_graded_kernel(ctx)
     for d in range(1, max(gk.degrees) + 1):
-        assert gram_oracle_kernel(d, ctx) == (gk.degrees[d].kernel_rows, gk.degrees[d].kernel_pivots)
+        assert gram_oracle_kernel(d, ctx) == gk.kernel(d)
     assert computed_hilbert(gk).coeffs == baby_verma_series(n, p, 0).coeffs
 
 
@@ -162,10 +211,10 @@ def test_oracle_equivalence_t1_n5():
     ctx = ctx_of(5, 2, 1)
     gk = GradedKernel(ctx)
     for d in range(1, 7):
-        data = gk.compute_degree(d)
+        kernel_rows, kernel_pivots = gk.kernel(d)
         rows, pivots = gram_oracle_kernel(d, ctx)
-        assert rows == data.kernel_rows
-        assert pivots == data.kernel_pivots
+        assert rows == kernel_rows
+        assert pivots == kernel_pivots
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,11 +261,11 @@ def test_stacked_rows_follow_the_slot_symmetry(p, t, n, d, c):
     R = gk.compute_degree(d - 1).constraint_rows
     adapter, ncols = linalg.RingAdapter(ctx.domain), len(monomials_of_degree(n - 1, d))
     every = [row for i in range(1, n) for row in linalg.compose_rows_columns(adapter, R, dunkl_columns(d, i, ctx))]
-    full = reduce_from_the_right(adapter, every, range(ncols), {}, ncols)
-    assert reduce_from_the_right(adapter, _stacked_rows(R, d, ctx, range(ncols)), range(ncols), {}, ncols) == full
+    full = linalg.echelon(adapter, every)
+    assert linalg.echelon(adapter, _stacked_rows(R, d, ctx, range(ncols))) == full
     data = gk.compute_degree(d)
     assert data.dim_l <= data.live <= ncols
-    assert (data.kernel_rows, data.kernel_pivots, data.constraint_rows) == full
+    assert (data.constraint_rows, data.pivots) == full
 
 
 @settings(max_examples=60, deadline=None)
