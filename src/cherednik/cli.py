@@ -304,6 +304,17 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _max_degree(text: str) -> int:
+    """``--max-degree``: an integer of at least 0, the last degree to compute."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:  # a negative cap would run no degree, yet record the cell as exceeded_cap
+        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+    return value
+
+
 def cmd_sweep(args) -> int:
     """One hilbert run per (p, n); each summary row is written as its cell ends,
     so an interrupted sweep keeps the rows of the cells it finished."""
@@ -508,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--n", type=int, required=True)
     h.add_argument("--t", type=int, required=True, choices=(0, 1))
     h.add_argument("--c", type=str, default=None, help="'generic' or a residue mod p")
-    h.add_argument("--max-degree", type=int, default=None)
+    h.add_argument("--max-degree", type=_max_degree, default=None)
     h.add_argument("--no-cache", action="store_true")
     h.add_argument("--cache-dir", type=str, default=None)
     h.add_argument("--dump-kernel", type=str, default=None)
@@ -531,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t", type=int, required=True, choices=(0, 1))
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
-    sw.add_argument("--max-degree", type=int, default=None)
+    sw.add_argument("--max-degree", type=_max_degree, default=None)
     sw.add_argument("--budget-seconds", type=float, default=None,
                     help="checked before each degree, so one degree can run past it")
     sw.add_argument("--cache-dir", type=str, default=None)

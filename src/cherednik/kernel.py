@@ -34,8 +34,11 @@ extends to the dead columns by r_m = -sum_k r_k w_m[k] (``linalg.extend``).
 D_1 is built only on C_d and its images under the slot swaps; an empty C_d
 means L[d] = 0.
 An independent oracle builds the full Gram matrix by a degree recursion on
-its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces it
-on every column with no relations; it builds every slot's D_j directly.
+its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces
+G_d alone on every column with no relations; it builds every slot's D_j
+directly.  The recursion runs once per context: the levels G_0..G_e of the
+last context are held, sum_{e<=d} M_e^2 entries, and a call for a higher
+degree extends them.
 
 Membership of a single polynomial is decided without any matrices by one
 walk over iterated Dunkl images.  The operators commute, so the walk runs
@@ -56,6 +59,7 @@ back to plain terms, and only they are reduced.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -360,6 +364,13 @@ def _pairings(f: ReducedPoly, d: int, ctx: DunklContext):
     return {a: reduce_raw(g, ctx).constant_term() for a, g in leaves.items()}
 
 
+@functools.lru_cache(maxsize=1)
+def _gram_levels(ctx: DunklContext) -> list[list[list]]:
+    """G_0, G_1, ... of the last context ``gram_rows`` served, which extends
+    the list; a new context replaces it, so one context's levels are alive."""
+    return [[[linalg.RingAdapter.of(ctx.domain).one]]]
+
+
 def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     """The Gram matrix G_d[a][m] = B(y^a, x^m) as dense rows of ring values.
 
@@ -369,12 +380,16 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     one compose per slot and degree from G_0 = [[1]], keeping every row and
     eliminating nothing between degrees.  The packing widths are taken once
     per degree, over all of G_{e-1}, which holds every slot's rows.
+    One recursion runs per context: the levels G_0..G_e built so far are
+    held (``_gram_levels``), a call for d <= e returns level d and a call
+    for d > e extends them from G_e.  They hold sum_{e<=d} M_e^2 entries,
+    M_e the number of degree-e monomials, where G_d alone is M_d^2.  The
+    returned rows are those held: callers only read them.
     """
-    nv = ctx.nvars
+    nv, levels = ctx.nvars, _gram_levels(ctx)
     adapter = linalg.RingAdapter.of(ctx.domain)
-    gram = [[adapter.one]]
-    for e in range(1, d + 1):
-        idx_prev = monomial_index(nv, e - 1)
+    for e in range(len(levels), d + 1):
+        gram, idx_prev = levels[-1], monomial_index(nv, e - 1)
         by_slot: dict[int, list[tuple[int, ...]]] = {}
         for a in monomials_of_degree(nv, e):
             j = max(k for k in range(nv) if a[k])
@@ -386,8 +401,8 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
             if widths is None:  # the slots' matrices are permutations of one another
                 widths = linalg.packing_widths(adapter, gram, cols)
             nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols, widths)))
-        gram = [nxt[a] for a in monomials_of_degree(nv, e)]
-    return gram
+        levels.append([nxt[a] for a in monomials_of_degree(nv, e)])
+    return levels[max(d, 0)]
 
 
 def gram_oracle_kernel(
@@ -396,7 +411,10 @@ def gram_oracle_kernel(
     """Kernel of the full Gram matrix at degree d (independent oracle).
 
     Returns (kernel rows, pivot columns) in the same canonical RREF form as
-    the recursive engine, so results are directly comparable.
+    the recursive engine, so results are directly comparable.  The size
+    check comes before any level is built; ``gram_rows`` holds the levels
+    of ctx, so asking for degrees 1, 2, ..., D builds each level once, and
+    ``linalg.echelon`` reduces G_d without changing the rows held.
     """
     if d == 0:
         return [], []

@@ -217,6 +217,25 @@ def test_max_degree_below_the_first_zero_records_the_finished_degrees(tmp_path):
     assert full["series"]["coeffs"] == [1, 2, 3, 4, 4, 4, 3, 2, 1]
 
 
+@pytest.mark.parametrize("command", ["hilbert", "sweep"])
+def test_negative_max_degree_is_a_usage_error(tmp_path, command):
+    # a cap of -1 used to run no degree and record the cell as exceeded_cap
+    cell = ["--p", "2", "--n", "3"] if command == "hilbert" else ["--p-list", "2", "--n-list", "3", "--out", str(tmp_path / "grid")]
+    proc = run_cli([command, *cell, "--t", "0", "--max-degree", "-1"], tmp_path)
+    assert proc.returncode == 2
+    assert "argument --max-degree: must be at least 0: '-1'" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "grid").exists() and not (tmp_path / "cache").exists()
+
+
+def test_max_degree_zero_computes_no_degree(tmp_path):
+    proc = run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "0", "--max-degree", "0"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rec = record_of(proc)
+    assert rec["status"] == "exceeded_cap"
+    assert rec["dims"] == {"0": [1, 0, 1]}
+
+
 @pytest.mark.parametrize("stop", [["--max-degree", "3"], ["--budget-seconds", "0"]])
 def test_sweep_caches_only_complete_cells(tmp_path, stop):
     # a cell cut short by a cap or a budget is written out but not cached,

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import random
 from pathlib import Path
@@ -13,8 +14,10 @@ from cherednik.series import baby_verma_series, computed_hilbert
 from cherednik.kernel import (
     GradedKernel,
     _canonical,
+    _gram_levels,
     _pairings,
     _stacked_rows,
+    _staircase,
     _walk,
     compute_graded_kernel,
     contravariant_pairing,
@@ -169,6 +172,69 @@ def test_kernel_digests_are_pinned(p, n, t, c):
     spec.loader.exec_module(script)
     gk = compute_graded_kernel(ctx_of(n, p, t, c))
     assert script.sha256(script.kernel_text(gk)) == KERNEL_DIGESTS[p, n, t, c]
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4)])
+def test_staircase_takes_each_relation_from_the_last_free_divisor(p, n):
+    # a dead m could take its relation from any free f = m / x_j; the staircase
+    # takes the largest j, and the relation e_m + w_m lies in ker B[d]
+    ctx = ctx_of(n, p, 1)
+    gk, dom, nv = GradedKernel(ctx), ctx.domain, ctx.nvars
+    choices = 0
+    for d in range(2, 9):
+        prev = gk.compute_degree(d - 1)
+        rref = linalg.rref_scalar_rows(gk.adapter, prev.constraint_rows, prev.pivots)
+        live, relations = _staircase(prev.pivots, rref, d, nv, dom)
+        if not live:
+            break
+        lower, monos = monomials_of_degree(nv, d - 1), monomials_of_degree(nv, d)
+        standard = {lower[s] for s in prev.pivots}
+        dd = gk.compute_degree(d)
+        rows = linalg.rref_scalar_rows(gk.adapter, dd.constraint_rows, dd.pivots)
+        for k, m in enumerate(monos):
+            free = [j for j in range(nv) if m[j] and m[:j] + (m[j] - 1,) + m[j + 1 :] not in standard]
+            assert (k in live) == (not free) == (k not in relations), (d, m)
+            if not free:
+                continue
+            choices += len(free) > 1
+            j = free[-1]
+            f = lower.index(m[:j] + (m[j] - 1,) + m[j + 1 :])
+            want = {
+                monos.index(lower[s][:j] + (lower[s][j] + 1,) + lower[s][j + 1 :]): dom.neg(row[f])
+                for s, row in zip(prev.pivots, rref)
+                if f in row
+            }
+            assert relations[k] == want, (d, m)
+            for row in rows:
+                acc = row.get(k, dom.zero)
+                for c, w in want.items():
+                    acc = dom.add(acc, dom.mul(row.get(c, dom.zero), w))
+                assert dom.is_zero(acc), (d, m)
+    assert choices  # some dead m has two free divisors, so the choice is tested
+
+
+@pytest.mark.parametrize("p, n, t", [(2, 5, 0), (3, 4, 0), (2, 3, 1)])
+def test_gram_levels_are_held_for_one_context(p, n, t):
+    # degrees out of order, a second context in between: each kernel is the
+    # engine's and the one a cleared cache gives, and one context stays held
+    ctx, other = ctx_of(n, p, t), ctx_of(4, 2, 0)
+    gk = GradedKernel(ctx)
+    _gram_levels.cache_clear()
+    got = {}
+    for d in (3, 1, 3, 2):
+        got.setdefault(d, []).append(gram_oracle_kernel(d, ctx))
+        if d == 1:
+            assert gram_oracle_kernel(2, other) == GradedKernel(other).kernel(2)
+    assert _gram_levels.cache_info().currsize == 1 and len(_gram_levels(ctx)) == 4
+    for d, results in got.items():
+        _gram_levels.cache_clear()
+        assert results == [gk.kernel(d)] * len(results) == [gram_oracle_kernel(d, ctx)] * len(results), d
+    # the held levels are shared: reducing one leaves every level as it was
+    before = copy.deepcopy([gram_rows(e, ctx) for e in range(4)])
+    gram_oracle_kernel(3, ctx)
+    assert [gram_rows(e, ctx) for e in range(4)] == before
+    gram_rows(2, other)
+    assert _gram_levels.cache_info().currsize == 1 and len(_gram_levels(other)) == 3
 
 
 def test_kernel_at_degree_wrapper():
