@@ -191,17 +191,8 @@ def cmd_hilbert(args) -> int:
             json.dumps(export_kernel_json(gk), sort_keys=True, indent=1)
         )
     _print_record(record)
-    if record.status == "exceeded_cap":
-        return EXIT_OK
-    if record.status != "ok":
-        return EXIT_INTERNAL
-    if not _conjecture_applies(args.p, c):
-        return EXIT_OK
-    return (
-        EXIT_OK
-        if record.conjecture[DEFAULT_VARIANT]["match"]
-        else EXIT_MISMATCH
-    )
+    verdict = record.conjecture.get(DEFAULT_VARIANT)  # none for a capped run or c = 0 mod p
+    return EXIT_MISMATCH if verdict and not verdict["match"] else EXIT_OK
 
 
 def export_kernel_json(gk) -> dict:
@@ -239,7 +230,6 @@ def cmd_check(args) -> int:
             inst = StabilityInstance.from_text(args.poly, args.p)
             verdict = is_stably_in_kernel(
                 inst,
-                p=args.p,
                 t=args.t if args.t is not None else 1,
                 experimental=args.experimental,
                 extra_above_bound=args.extra_above_bound,
@@ -255,39 +245,20 @@ def cmd_check(args) -> int:
         c = _default_c(t, args.c)
         ctx = DunklContext.make(n=args.n, p=args.p, t=t, c=c)
         f = parse_poly(args.poly, ctx.nvars, ctx.domain)
+        out = {"check": args.what, "polynomial": format_poly(f), "p": args.p, "n": args.n, "t": t,
+               "c_mode": ctx.domain.c_mode}
         if args.what == "singular":
-            res = is_singular(f, ctx)
-            out = {
-                "check": "singular",
-                "polynomial": format_poly(f),
-                "p": args.p,
-                "n": args.n,
-                "t": t,
-                "c_mode": ctx.domain.c_mode,
-                "result": res,
-            }
-            print(json.dumps(out, sort_keys=True))
-            _eprint(f"singular: {res}")
-            return EXIT_OK
-        if args.what == "kernel":
+            out["result"] = is_singular(f, ctx)
+            summary = f"singular: {out['result']}"
+        else:
             res = is_in_kernel(f, ctx)
-            out = {
-                "check": "kernel",
-                "polynomial": format_poly(f),
-                "p": args.p,
-                "n": args.n,
-                "t": t,
-                "c_mode": ctx.domain.c_mode,
-                "result": res.member,
-                "method": res.method,
-            }
+            out.update(result=res.member, method=res.method)
             if res.witness is not None:
-                out["witness"] = list(res.witness)
-                out["witness_value"] = str(res.witness_value)
-            print(json.dumps(out, sort_keys=True))
-            _eprint(f"in kernel: {res.member}")
-            return EXIT_OK
-        raise AssertionError(args.what)
+                out.update(witness=list(res.witness), witness_value=str(res.witness_value))
+            summary = f"in kernel: {res.member}"
+        print(json.dumps(out, sort_keys=True))
+        _eprint(summary)
+        return EXIT_OK
     except (ParseError, ValueError) as exc:
         _eprint(f"error: {exc}")
         return EXIT_USAGE
@@ -304,15 +275,24 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _max_degree(text: str) -> int:
-    """``--max-degree``: an integer of at least 0, the last degree to compute."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:  # a negative cap would run no degree, yet record the cell as exceeded_cap
-        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
-    return value
+def _at_least_zero(convert, kind: str):
+    """An argparse type: convert(text), a usage error unless at least 0.  A negative
+    cap or budget runs no degree yet records exceeded_cap; a NaN budget never stops a run."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+        return value
+
+    return parse
+
+
+_max_degree = _at_least_zero(int, "an integer")  # the last degree to compute
+_budget = _at_least_zero(float, "a number")  # seconds, checked before each degree
 
 
 def cmd_sweep(args) -> int:
@@ -543,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
     sw.add_argument("--max-degree", type=_max_degree, default=None)
-    sw.add_argument("--budget-seconds", type=float, default=None,
+    sw.add_argument("--budget-seconds", type=_budget, default=None,
                     help="checked before each degree, so one degree can run past it")
     sw.add_argument("--cache-dir", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)

@@ -240,18 +240,18 @@ class GradedKernel:
         ]
 
     def reduce_poly(self, f: ReducedPoly, d: int) -> ReducedPoly:
-        """Normal form of a degree-d polynomial modulo ker B[d]: at each s in
-        S_d the coefficient row_s . f / row_s[s], row_s the constraint row
-        with pivot s, the value reduction by the kernel basis gives."""
+        """Normal form of a degree-d polynomial modulo ker B[d]: at each s in S_d
+        the coefficient row_s . f, row_s the constraint row with pivot s scaled
+        to 1 (``linalg.rref_scalar_rows``), the value reduction by the kernel basis gives."""
         dd, dom, nv = self.compute_degree(d), self.ctx.domain, self.ctx.nvars
         idx, monos = monomial_index(nv, d), monomials_of_degree(nv, d)
-        vec, zero, div = [(idx[m], v) for m, v in f.terms.items()], self.adapter.zero, self.adapter.scalar_div
+        vec = [(idx[m], v) for m, v in f.terms.items()]
         terms = {}
-        for row, s in zip(dd.constraint_rows, dd.pivots):
+        for row, s in zip(linalg.rref_scalar_rows(self.adapter, dd.constraint_rows, dd.pivots), dd.pivots):
             acc = dom.zero
             for k, v in vec:
-                if row[k] != zero:
-                    acc = dom.add(acc, dom.mul(div(row[k], row[s]), v))
+                if k in row:
+                    acc = dom.add(acc, dom.mul(row[k], v))
             if not dom.is_zero(acc):
                 terms[monos[s]] = acc
         return ReducedPoly(dom, nv, terms)
@@ -378,13 +378,12 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     monomials_of_degree.  The operators commute, so with j the last nonzero
     slot of a, G_e[a] = G_{e-1}[a - e_j] * D_j, D_j = dunkl_columns(e, j):
     one compose per slot and degree from G_0 = [[1]], keeping every row and
-    eliminating nothing between degrees.  The packing widths are taken once
-    per degree, over all of G_{e-1}, which holds every slot's rows.
-    One recursion runs per context: the levels G_0..G_e built so far are
-    held (``_gram_levels``), a call for d <= e returns level d and a call
-    for d > e extends them from G_e.  They hold sum_{e<=d} M_e^2 entries,
-    M_e the number of degree-e monomials, where G_d alone is M_d^2.  The
-    returned rows are those held: callers only read them.
+    eliminating nothing between degrees.  One recursion runs per context:
+    the levels G_0..G_e built so far are held (``_gram_levels``), a call for
+    d <= e returns level d and a call for d > e extends them from G_e.  They
+    hold sum_{e<=d} M_e^2 entries, M_e the number of degree-e monomials,
+    where G_d alone is M_d^2.  The returned rows are those held: callers
+    only read them.
     """
     nv, levels = ctx.nvars, _gram_levels(ctx)
     adapter = linalg.RingAdapter.of(ctx.domain)
@@ -394,13 +393,10 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
         for a in monomials_of_degree(nv, e):
             j = max(k for k in range(nv) if a[k])
             by_slot.setdefault(j, []).append(a)
-        nxt, widths = {}, None
+        nxt = {}
         for j, multisets in by_slot.items():
             below = [gram[idx_prev[a[:j] + (a[j] - 1,) + a[j + 1:]]] for a in multisets]
-            cols = dunkl_columns(e, j + 1, ctx)
-            if widths is None:  # the slots' matrices are permutations of one another
-                widths = linalg.packing_widths(adapter, gram, cols)
-            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols, widths)))
+            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, dunkl_columns(e, j + 1, ctx))))
         levels.append([nxt[a] for a in monomials_of_degree(nv, e)])
     return levels[max(d, 0)]
 
@@ -445,32 +441,23 @@ class Membership:
 
 
 def slot_symmetry_classes(f: ReducedPoly, ctx: DunklContext) -> list[list[int]]:
-    """Group operator slots 1..n-1 into classes interchangeable on f."""
+    """Group operator slots 1..n-1 into classes interchangeable on f.
+
+    Being fixed by (a b) is an equivalence on slots, as (a c) = (a b)(b c)(a b):
+    so a slot f uses joins the first class whose first member it swaps with,
+    f unchanged, or starts its own, and the slots f does not use form one."""
     nv = ctx.nvars
-    parent = list(range(nv + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    support = [i for i in range(1, nv + 1) if any(m[i - 1] for m in f.terms)]
-    spare = [i for i in range(1, nv + 1) if i not in support]
-    for k in range(len(spare) - 1):
-        parent[find(spare[k + 1])] = find(spare[k])
-    for ai in range(len(support)):
-        for bi in range(ai + 1, len(support)):
-            a, b = support[ai], support[bi]
-            if find(a) == find(b):
-                continue
-            swapped = apply_transposition(f, Transposition(a, b), ctx.n)
-            if swapped == f:
-                parent[find(b)] = find(a)
-    classes: dict[int, list[int]] = {}
-    for i in range(1, nv + 1):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(classes.values())
+    used = [i for i in range(1, nv + 1) if any(m[i - 1] for m in f.terms)]
+    classes: list[list[int]] = []
+    for b in used:
+        for cls in classes:
+            if apply_transposition(f, Transposition(cls[0], b), ctx.n) == f:
+                cls.append(b)
+                break
+        else:
+            classes.append([b])
+    spare = [i for i in range(1, nv + 1) if i not in used]
+    return sorted(classes + [spare] if spare else classes)
 
 
 def _canonical(a: tuple[int, ...], classes: list[list[int]]) -> bool:

@@ -30,7 +30,8 @@ Characteristic-2 rows are packed into single big integers (entries are
 F_2[c] bitmasks laid side by side) so that the inner product against a
 sparse column is a handful of shifts and XORs.  At odd p an entry becomes an
 int by c -> 2^digit (Kronecker substitution) and rows are packed the same
-way, with additions in place of XORs.
+way, with additions in place of XORs.  Each packing is sized from p and the
+two matrices it packs, so no caller can hand it a width too narrow.
 """
 
 from __future__ import annotations
@@ -57,49 +58,25 @@ def _gf2_pack_columns(rows: list[list[int]], width: int) -> list[int]:
     return cols
 
 
-def packing_widths(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list[dict[int, object]]) -> tuple:
-    """The entry sizes that fix how ``compose_rows_columns`` packs R * D.
-
-    At p = 2 the largest bit lengths in R and in D; for F_p(c) at odd p the
-    longest coefficient tuples in R and in D and the most terms in a column;
-    over F_p at odd p the most terms in a column.  Sizes taken from a
-    superset of R's rows or a column permutation of D are safe too, as wider
-    packing changes no value: ``gram_rows`` makes one call per degree.
-    """
-    if adapter.p == 2:
-        max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
-        max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
-        return max_r, max_v
-    terms = max((len(col) for col in dunkl_columns), default=0)
-    if not adapter.is_generic:
-        return (terms,)
-    R_len = max((len(v) for row in R_rows for v in row), default=0)
-    D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
-    return R_len, D_len, terms
-
-
-def compose_rows_columns(
-    adapter: RingAdapter,
-    R_rows: list[list],
-    dunkl_columns: list[dict[int, object]],
-    widths: tuple | None = None,
-) -> list[list]:
+def compose_rows_columns(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list[dict[int, object]]) -> list[list]:
     """Return the dense matrix (R * D) laid out as rows; D given column-wise.
 
     R_rows: L x M_prev ring values.  dunkl_columns[j]: sparse {row_prev: val}.
-    Result: L x len(dunkl_columns).  widths is ``packing_widths`` of these
-    matrices or of ones that bound them, computed here when not given.
+    Result: L x len(dunkl_columns).  The packing is sized from p and from R
+    and D themselves: over F_2(c) their longest bit masks, at odd p the most
+    terms in a column of D and, over F_p(c), their longest coefficient tuples.
     """
     L = len(R_rows)
     ncols = len(dunkl_columns)
     if L == 0:
         return []
     p = adapter.p
-    if widths is None:
-        widths = packing_widths(adapter, R_rows, dunkl_columns)
     if p == 2:
-        max_r, max_v = widths
-        width = max_r + max_v + 1
+        width = 1  # over F_2 every entry is 0 or 1, and XOR sums do not carry
+        if adapter.is_generic:  # F_2[c] bit masks: a product of lengths a and b has length <= a + b - 1
+            max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
+            max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
+            width = max(max_r + max_v - 1, 1)
         packed = _gf2_pack_columns(R_rows, width)
         mask = (1 << width) - 1
         out_cols = []
@@ -113,16 +90,18 @@ def compose_rows_columns(
                     v ^= low
             out_cols.append(acc)
         return [[(acc >> r * width) & mask for acc in out_cols] for r in range(L)]
+    terms = max(map(len, dunkl_columns), default=0)
     if not adapter.is_generic:
         # additive packing: entries < p, so a sum of terms products fits in width bits
-        width = ((p - 1) ** 2 * widths[0]).bit_length()
+        width = ((p - 1) ** 2 * terms).bit_length()
         out_cols = _packed_products(R_rows, dunkl_columns, width)
         mask = (1 << width) - 1
         return [[((acc >> r * width) & mask) % p for acc in out_cols] for r in range(L)]
     # F_p(c) at odd p: Kronecker substitution c -> 2^digit turns each F_p[c]
     # entry into an int whose base-2^digit digits are its coefficients; digit
     # is wide enough that no coefficient of a product sum carries over
-    R_len, D_len, terms = widths
+    R_len = max((len(v) for row in R_rows for v in row), default=0)
+    D_len = max((len(v) for col in dunkl_columns for v in col.values()), default=0)
     if not R_len or not D_len:
         return [[()] * ncols for _ in range(L)]
     digit = ((p - 1) ** 2 * min(R_len, D_len) * terms).bit_length()

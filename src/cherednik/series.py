@@ -97,6 +97,13 @@ class Series:
             provenance or self.provenance,
         )
 
+    def pow(self, e: int) -> "Series":
+        """self^e, e >= 0 (self^0 = 1)."""
+        out = Series((1,), self.provenance)
+        for _ in range(e):
+            out = out.mul(self)
+        return out
+
     def to_json(self) -> dict:
         return {
             "coeffs": list(self.coeffs),
@@ -173,10 +180,7 @@ def conjectured_hilbert(
         return Series(h0.coeffs, f"conjecture_{variant}", label)
     if t != 1:
         raise ValueError("t must be 0 or 1")
-    base = q_bracket(p)
-    lead = Series((1,), "tmp")
-    for _ in range(n - 1):
-        lead = lead.mul(base)
+    lead = q_bracket(p).pow(n - 1)
     if variant == "remark_consistent":
         out = lead.mul(h0.substitute_power(p))
         label = f"[{p}]_z^{n-1} * h0(z^{p})"
@@ -205,11 +209,8 @@ def closed_form_t0(n: int, p: int) -> Series:
 
 def closed_form_t1_p2(n: int) -> Series:
     """(1+z)^(n-1) (1 + (n-1)z^2 + (n-1)z^4 + z^6): proven for p=2, odd n."""
-    lead = Series((1,))
-    for _ in range(n - 1):
-        lead = lead.mul(Series((1, 1)))
     return Series(
-        lead.mul(Series((1, 0, n - 1, 0, n - 1, 0, 1))).coeffs,
+        Series((1, 1)).pow(n - 1).mul(Series((1, 0, n - 1, 0, n - 1, 0, 1))).coeffs,
         "theorem",
         f"(1+z)^{n-1} * (1+{n-1}z^2+{n-1}z^4+z^6)",
     )
@@ -228,10 +229,7 @@ def baby_verma_series(n: int, p: int, t: int) -> Series:
         factor[0] = 1
         factor[j * step] = -1
         num = _poly_mul(num, tuple(factor))
-    den = (1,)
-    for _ in range(n - 1):
-        den = _poly_mul(den, (1, -1))
-    q = _poly_divide_exact(num, den)
+    q = _poly_divide_exact(num, Series((1, -1)).pow(n - 1).coeffs)
     if q is None:
         raise ArithmeticError("baby Verma quotient failed to divide exactly")
     if any(a < 0 for a in q):
@@ -272,10 +270,7 @@ def shape_check_t1(h: Series, n: int, p: int) -> ShapeReport:
     Failure here would falsify either the implementation or the genericity
     of the chosen c.
     """
-    den = Series((1,))
-    for _ in range(n - 1):
-        den = den.mul(q_bracket(p))
-    q = _poly_divide_exact(h.coeffs, den.coeffs)
+    q = _poly_divide_exact(h.coeffs, q_bracket(p).pow(n - 1).coeffs)
     if q is None:
         return ShapeReport(False, None, "series is not divisible by [p]_z^(n-1)")
     for d, a in enumerate(q):

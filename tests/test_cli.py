@@ -228,6 +228,17 @@ def test_negative_max_degree_is_a_usage_error(tmp_path, command):
     assert not (tmp_path / "grid").exists() and not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_negative_or_nan_budget_is_a_usage_error(tmp_path, budget):
+    # -1 used to run no degree and write an exceeded_cap row; NaN never stopped a run
+    args = ["sweep", "--p-list", "2", "--n-list", "3", "--t", "0", "--out", str(tmp_path / "grid")]
+    proc = run_cli(args + ["--budget-seconds", budget], tmp_path)
+    assert proc.returncode == 2
+    assert f"argument --budget-seconds: must be at least 0: '{budget}'" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "grid").exists() and not (tmp_path / "cache").exists()
+
+
 def test_max_degree_zero_computes_no_degree(tmp_path):
     proc = run_cli(["hilbert", "--p", "2", "--n", "3", "--t", "0", "--max-degree", "0"], tmp_path)
     assert proc.returncode == 0, proc.stderr

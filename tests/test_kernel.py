@@ -1,12 +1,15 @@
 import copy
 import importlib.util
+import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cherednik import linalg
+from cherednik import kernel as kernel_module, linalg
+from cherednik.action import Transposition, apply_transposition
 from cherednik.fields import CoeffDomain, Scalar
 from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
 from cherednik.dunkl import DunklContext, dunkl, reduce_raw
@@ -508,6 +511,78 @@ def test_symmetry_classes():
     assert [1] in classes
     assert [2, 3] in classes
     assert [4, 5] in classes
+
+
+def union_find_classes(f, ctx):
+    """The slot classes as the transitive closure of the swaps fixing f,
+    by union-find, and the number of swaps it applies: it tries each pair
+    of used slots not yet joined; the slots f does not use are joined."""
+    nv = ctx.nvars
+    parent = list(range(nv + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    used = [i for i in range(1, nv + 1) if any(m[i - 1] for m in f.terms)]
+    spare = [i for i in range(1, nv + 1) if i not in used]
+    for a, b in zip(spare, spare[1:]):
+        parent[find(b)] = find(a)
+    swaps = 0
+    for a, b in itertools.combinations(used, 2):
+        if find(a) != find(b):
+            swaps += 1
+            if apply_transposition(f, Transposition(a, b), ctx.n) == f:
+                parent[find(b)] = find(a)
+    classes = {}
+    for i in range(1, nv + 1):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(classes.values()), swaps
+
+
+@st.composite
+def slot_templates(draw):
+    """A random template on 3 to 8 slots, symmetrized over random blocks of
+    its used slots, so that its support is symmetric, partly symmetric or not."""
+    nv, p = draw(st.integers(3, 8)), draw(st.sampled_from([2, 3]))
+    ctx = ctx_of(nv + 1, p, draw(st.sampled_from([0, 1])))
+    used = sorted(draw(st.sets(st.integers(0, nv - 1), min_size=1, max_size=min(nv, 5))))
+    exps = st.lists(st.integers(0, 3), min_size=len(used), max_size=len(used))
+    terms = {}
+    for e in draw(st.lists(exps, min_size=1, max_size=3)):
+        m = [0] * nv
+        for i, x in zip(used, e):
+            m[i] = x
+        terms[tuple(m)] = draw(st.integers(1, p - 1))
+    blocks = st.lists(st.lists(st.sampled_from(used), min_size=2, max_size=3, unique=True), max_size=2)
+    for block in draw(blocks) if len(used) > 1 else ():
+        orbit = {}
+        for m, v in terms.items():
+            for image in itertools.permutations([m[i] for i in block]):
+                moved = list(m)
+                for i, x in zip(block, image):
+                    moved[i] = x
+                orbit[tuple(moved)] = (orbit.get(tuple(moved), 0) + v) % p
+        terms = {m: v for m, v in orbit.items() if v}
+    dom = ctx.domain
+    return ReducedPoly(dom, nv, {m: dom.from_int(v) for m, v in terms.items()}), ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_templates())
+def test_slot_symmetry_classes_match_union_find(case):
+    f, ctx = case
+    want, swaps = union_find_classes(f, ctx)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_transposition(*args)
+
+    with mock.patch.object(kernel_module, "apply_transposition", counted):
+        assert slot_symmetry_classes(f, ctx) == want, f
+    assert len(calls) <= swaps
 
 
 def test_degree_twelve_closure_n5():

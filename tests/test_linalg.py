@@ -1,6 +1,7 @@
 """Elimination over F_p, the certified modular route over F_p(c) and the
 table fields it runs on."""
 
+import functools
 import random
 
 import pytest
@@ -514,6 +515,18 @@ def test_packed_compose_has_room_for_the_largest_sums(p):
     cols = [{k: top for k in range(40)} for _ in range(2)]
     adapter = linalg.RingAdapter(CoeffDomain.generic(p))
     assert linalg.compose_rows_columns(adapter, rows, cols) == entrywise_product(p, rows, cols)
+
+
+def test_gf2_compose_has_room_for_the_longest_products():
+    # F_2[c] bit masks with their top bits set and an odd number of terms per
+    # column: each entry of R * D reaches bit length max_r + max_v - 1
+    R, rng = CoeffDomain.generic(2).ring, random.Random(5)
+    rows = [[rng.randrange(1 << 6, 1 << 7) for _ in range(9)] for _ in range(4)]
+    cols = [{k: rng.randrange(1 << 4, 1 << 5) for k in rng.sample(range(9), size)} for size in (1, 3, 5, 9)]
+    want = [[functools.reduce(R.add, (R.mul(row[k], v) for k, v in col.items()), R.zero) for col in cols] for row in rows]
+    assert max(v.bit_length() for row in want for v in row) == 7 + 5 - 1
+    adapter = linalg.RingAdapter(CoeffDomain.generic(2))
+    assert linalg.compose_rows_columns(adapter, rows, cols) == want
 
 
 @pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])

@@ -31,6 +31,13 @@ def test_q_bracket_values():
     assert q_factorial(3).coeffs == (1, 2, 2, 1)
 
 
+def test_series_power():
+    assert Series((1, 1)).pow(3).coeffs == (1, 3, 3, 1)
+    assert Series((1, -1)).pow(2).coeffs == (1, -2, 1)
+    assert q_bracket(3).pow(0).coeffs == (1,)
+    assert q_bracket(2).pow(1) == q_bracket(2)
+
+
 def test_q_r_polynomial_values():
     assert q_r_polynomial(CongruenceData.of(5, 2)).coeffs == (1, 3, 1)
     assert q_r_polynomial(CongruenceData.of(6, 2)).coeffs == (1,)  # r = 0
