@@ -245,8 +245,14 @@ def cmd_check(args) -> int:
         c = _default_c(t, args.c)
         ctx = DunklContext.make(n=args.n, p=args.p, t=t, c=c)
         f = parse_poly(args.poly, ctx.nvars, ctx.domain)
-        out = {"check": args.what, "polynomial": format_poly(f), "p": args.p, "n": args.n, "t": t,
-               "c_mode": ctx.domain.c_mode}
+        out = {
+            "check": args.what,
+            "polynomial": format_poly(f),
+            "p": args.p,
+            "n": args.n,
+            "t": t,
+            "c_mode": ctx.domain.c_mode,
+        }
         if args.what == "singular":
             out["result"] = is_singular(f, ctx)
             summary = f"singular: {out['result']}"

@@ -240,18 +240,18 @@ class GradedKernel:
         ]
 
     def reduce_poly(self, f: ReducedPoly, d: int) -> ReducedPoly:
-        """Normal form of a degree-d polynomial modulo ker B[d]: at each s in S_d
-        the coefficient row_s . f, row_s the constraint row with pivot s scaled
-        to 1 (``linalg.rref_scalar_rows``), the value reduction by the kernel basis gives."""
+        """Normal form of a degree-d polynomial modulo ker B[d]: at each s in
+        S_d the coefficient row_s . f / row_s[s], row_s the constraint row
+        with pivot s, the value reduction by the kernel basis gives."""
         dd, dom, nv = self.compute_degree(d), self.ctx.domain, self.ctx.nvars
         idx, monos = monomial_index(nv, d), monomials_of_degree(nv, d)
-        vec = [(idx[m], v) for m, v in f.terms.items()]
+        vec, zero, div = [(idx[m], v) for m, v in f.terms.items()], self.adapter.zero, self.adapter.scalar_div
         terms = {}
-        for row, s in zip(linalg.rref_scalar_rows(self.adapter, dd.constraint_rows, dd.pivots), dd.pivots):
+        for row, s in zip(dd.constraint_rows, dd.pivots):
             acc = dom.zero
             for k, v in vec:
-                if k in row:
-                    acc = dom.add(acc, dom.mul(row[k], v))
+                if row[k] != zero:
+                    acc = dom.add(acc, dom.mul(div(row[k], row[s]), v))
             if not dom.is_zero(acc):
                 terms[monos[s]] = acc
         return ReducedPoly(dom, nv, terms)
@@ -396,7 +396,8 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
         nxt = {}
         for j, multisets in by_slot.items():
             below = [gram[idx_prev[a[:j] + (a[j] - 1,) + a[j + 1:]]] for a in multisets]
-            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, dunkl_columns(e, j + 1, ctx))))
+            cols = dunkl_columns(e, j + 1, ctx)
+            nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols)))
         levels.append([nxt[a] for a in monomials_of_degree(nv, e)])
     return levels[max(d, 0)]
 

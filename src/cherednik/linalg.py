@@ -58,7 +58,11 @@ def _gf2_pack_columns(rows: list[list[int]], width: int) -> list[int]:
     return cols
 
 
-def compose_rows_columns(adapter: RingAdapter, R_rows: list[list], dunkl_columns: list[dict[int, object]]) -> list[list]:
+def compose_rows_columns(
+    adapter: RingAdapter,
+    R_rows: list[list],
+    dunkl_columns: list[dict[int, object]],
+) -> list[list]:
     """Return the dense matrix (R * D) laid out as rows; D given column-wise.
 
     R_rows: L x M_prev ring values.  dunkl_columns[j]: sparse {row_prev: val}.
@@ -73,7 +77,8 @@ def compose_rows_columns(adapter: RingAdapter, R_rows: list[list], dunkl_columns
     p = adapter.p
     if p == 2:
         width = 1  # over F_2 every entry is 0 or 1, and XOR sums do not carry
-        if adapter.is_generic:  # F_2[c] bit masks: a product of lengths a and b has length <= a + b - 1
+        if adapter.is_generic:
+            # F_2[c] bit masks: a product of lengths a and b has length <= a + b - 1
             max_r = max((v.bit_length() for row in R_rows for v in row), default=1)
             max_v = max((v.bit_length() for col in dunkl_columns for v in col.values()), default=1)
             width = max(max_r + max_v - 1, 1)

@@ -156,40 +156,39 @@ def _sweep_values(inst: StabilityInstance, extra_above_bound: int) -> list[int]:
 
 def is_stably_in_kernel(
     f,
-    p: int | None = None,
     t: int = 1,
     experimental: bool = False,
     extra_above_bound: int = 0,
 ) -> StabilityVerdict:
     """Run the finite odd-n sweep deciding membership for all admissible n.
 
-    The sweep runs in the template's characteristic: p defaults to inst.p,
-    and a p that disagrees raises ValueError.  Only p = 2, t = 1 with
-    generic c is a certified regime; any other combination needs
+    The sweep runs in the template's characteristic inst.p.  Only p = 2,
+    t = 1 with generic c is a certified regime; any other combination needs
     experimental=True and yields a non-certifying sweep over the same range.
     extra_above_bound adds odd n beyond the bound as an empirical check of
     the criterion itself.
     """
     inst = f if isinstance(f, StabilityInstance) else StabilityInstance.from_poly(f)
-    p = inst.p if p is None else p
-    certifying = p == 2 and t == 1
+    certifying = inst.p == 2 and t == 1
     if not certifying and not experimental:
         raise ValueError(
             "the stability criterion is proved only for p=2, t=1, generic c; "
             "pass experimental=True (--experimental on the command line) "
             "to run a non-certifying sweep"
         )
-    if p != inst.p:
-        raise ValueError(f"the template was read mod {inst.p}, so it cannot be swept at p = {p}")
+    # the zero template lies in ker B for every n, so it needs no sweep
+    ns = _sweep_values(inst, extra_above_bound) if inst.terms else []
     per_n: list[PerNEvidence] = []
-    for n in _sweep_values(inst, extra_above_bound) if inst.terms else ():  # 0 is in ker B for every n
-        ctx = DunklContext(n=n, t=t, domain=CoeffDomain.generic(p))
+    for n in ns:
+        ctx = DunklContext(n=n, t=t, domain=CoeffDomain.generic(inst.p))
         result: Membership = is_in_kernel(inst.instantiate(ctx), ctx)
         per_n.append(PerNEvidence(n, result.member, result.witness))
         if not result.member:
             break
     stable = all(e.in_kernel for e in per_n)
-    return StabilityVerdict(stable, inst.bound, inst.proof_text_bound, inst.text(), per_n, certifying)
+    return StabilityVerdict(
+        stable, inst.bound, inst.proof_text_bound, inst.text(), per_n, certifying
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,25 +41,21 @@ def test_zero_polynomial_is_stable():
 
 def test_regime_guard():
     with pytest.raises(ValueError, match="experimental"):
-        is_stably_in_kernel(inst("x1^2"), p=3)
-    v = is_stably_in_kernel(StabilityInstance.from_text("x1^2+x1*x2+x2^2", 3), p=3, t=1, experimental=True)
+        is_stably_in_kernel(StabilityInstance.from_text("x1^2", 3))
+    with pytest.raises(ValueError, match="experimental"):
+        is_stably_in_kernel(inst("x1^2"), t=0)
+    v = is_stably_in_kernel(StabilityInstance.from_text("x1^2+x1*x2+x2^2", 3), t=1, experimental=True)
     assert not v.certifying
 
 
 def test_template_is_swept_in_its_own_characteristic():
-    # 2*x1^2 read mod 2 is the zero template; swept at p = 3 it would pass
-    # as stable, while the template read mod 3 fails at n = 3
-    read_mod_2 = inst("2*x1^2")
-    assert read_mod_2.text() == "0"
-    with pytest.raises(ValueError, match="read mod 2, so it cannot be swept at p = 3"):
-        is_stably_in_kernel(read_mod_2, p=3, experimental=True)
-    read_mod_3 = StabilityInstance.from_text("2*x1^2", 3)
-    v = is_stably_in_kernel(read_mod_3, experimental=True)
+    # 2*x1^2 read mod 2 is the zero template, stable with nothing to sweep;
+    # read mod 3 it is swept at p = 3 and fails at n = 3
+    assert inst("2*x1^2").text() == "0"
+    assert is_stably_in_kernel(inst("2*x1^2")).per_n == []
+    v = is_stably_in_kernel(StabilityInstance.from_text("2*x1^2", 3), experimental=True)
     assert (v.polynomial, v.stable, v.certifying) == ("2*x1^2", False, False)
     assert [(e.n, e.in_kernel, e.witness) for e in v.per_n] == [(3, False, (0, 2))]
-    assert is_stably_in_kernel(read_mod_3, p=3, experimental=True) == v
-    with pytest.raises(ValueError, match="experimental"):  # the regime check comes first
-        is_stably_in_kernel(read_mod_3, p=2, t=0)
 
 
 def test_rejected_monomial_with_witness():
