@@ -16,15 +16,12 @@ from .fields import (  # noqa: F401
     PrimeField,
     RationalFunctionField,
     Scalar,
-    scalar_arith,
 )
 from .poly import (  # noqa: F401
     ParseError,
     ReducedPoly,
-    c_components,
     format_poly,
     parse_poly,
-    poly_arith,
 )
 from .action import Transposition, apply_transposition, divided_difference  # noqa: F401
 from .dunkl import (  # noqa: F401
@@ -32,5 +29,4 @@ from .dunkl import (  # noqa: F401
     check_commutators,
     dunkl,
     dunkl_difference,
-    dunkl_parts,
 )

@@ -90,35 +90,6 @@ def apply_transposition(f: ReducedPoly, s: Transposition, n: int) -> ReducedPoly
     return substitute_variable(f, i)
 
 
-def apply_permutation(f: ReducedPoly, images: tuple[int, ...], n: int) -> ReducedPoly:
-    """Action of an arbitrary permutation, given as the image tuple of 1..n.
-
-    images[i-1] is where index i goes.  Convenience composition into
-    transpositions via cycles; not optimized.
-    """
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("images must be a permutation of 1..n")
-    seen = [False] * (n + 1)
-    out = f
-    for start in range(1, n + 1):
-        if seen[start] or images[start - 1] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = images[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = images[nxt - 1]
-        # (a1 a2 ... ak) = (a1 a2)(a2 a3)...(a_{k-1} a_k), rightmost first
-        for idx in range(len(cycle) - 1, 0, -1):
-            out = apply_transposition(
-                out, Transposition(cycle[idx - 1], cycle[idx]), n
-            )
-    return out
-
-
 def lift(f: ReducedPoly) -> ReducedPoly:
     """Embed an (n-1)-slot reduced polynomial into n formal variables."""
     return ReducedPoly(

@@ -18,7 +18,7 @@ from functools import reduce
 from pathlib import Path
 
 from . import __version__
-from .fields import CoeffDomain, RationalFunctionField
+from .fields import CoeffDomain, RationalFunctionField, is_prime
 from .poly import ParseError, ReducedPoly, format_poly, format_row, monomial_name, monomials_of_degree, parse_poly, random_homogeneous
 from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z, reduce_raw
 from .kernel import (
@@ -281,6 +281,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _prime_list(text: str) -> list[int]:
+    """``--p-list``: an ``_int_list`` of primes, so no cell of a sweep fails on its p."""
+    values = _int_list(text)
+    if not all(map(is_prime, values)):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of primes: {text!r}")
+    return values
+
+
 def _at_least_zero(convert, kind: str):
     """An argparse type: convert(text), a usage error unless at least 0.  A negative
     cap or budget runs no degree yet records exceeded_cap; a NaN budget never stops a run."""
@@ -523,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.set_defaults(func=cmd_check)
 
     sw = sub.add_parser("sweep", help="grid of hilbert runs with CSV summary")
-    sw.add_argument("--p-list", type=_int_list, default=[])
+    sw.add_argument("--p-list", type=_prime_list, default=[])
     sw.add_argument("--n-list", type=_int_list, default=[])
     sw.add_argument("--t", type=int, required=True, choices=(0, 1))
     sw.add_argument("--c", type=str, default=None)

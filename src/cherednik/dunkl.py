@@ -441,28 +441,6 @@ def dunkl_difference(f: ReducedPoly, i: int, j: int, ctx: DunklContext) -> Reduc
     return dunkl_z(f, i, ctx).sub(dunkl_z(f, j, ctx))
 
 
-def dunkl_parts(f: ReducedPoly, i: int, j: int, ctx: DunklContext):
-    """Split D_{y_i-y_j} f = alpha + c * beta (t = 1 only).
-
-    alpha is the plain derivative part (d_i - d_j) f, the core with
-    (t, c) = (1, 0); beta is the core with (t, c) = (0, 1), the
-    divided-difference sums, so the identity holds as polynomials in c.
-    """
-    if ctx.t != 1:
-        raise ValueError("the alpha/beta decomposition requires a t=1 context")
-    ring = RingAdapter.of(ctx.domain)
-    lifted = lift_raw(f)
-
-    def part(k, t, c):
-        if k == ctx.n:  # D_{y_n - y_n} = 0
-            return ReducedPoly.zero(ctx.domain, ctx.nvars)
-        return reduce_raw(_dunkl_core(lifted, k, ctx.n, t, c, ring), ctx)
-
-    alpha = part(i, 1, ring.zero).sub(part(j, 1, ring.zero))
-    beta = part(i, 0, ring.one).sub(part(j, 0, ring.one))
-    return alpha, beta
-
-
 # ---------------------------------------------------------------------------
 # Commutator self-test: the defining relations as operator identities
 # ---------------------------------------------------------------------------

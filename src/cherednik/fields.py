@@ -714,59 +714,20 @@ class TableField(CoeffDomain):
 
 
 # ---------------------------------------------------------------------------
-# Tagged scalars (public arithmetic surface with domain checking)
+# Tagged scalars: a value with its domain, for results that leave the engine
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Scalar:
-    """A domain-tagged field element; arithmetic checks domain compatibility."""
+    """A field element tagged with its domain, as a pairing or witness value
+    is returned and printed; arithmetic goes through ``domain``."""
 
     domain: CoeffDomain
     value: Any
-
-    def _check(self, other: "Scalar"):
-        if not isinstance(other, Scalar):
-            raise TypeError("expected a Scalar")
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"domains differ: {self.domain!r} vs {other.domain!r}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.sub(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.domain, self.domain.neg(self.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        if self.domain.is_zero(other.value):
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.domain, self.domain.div(self.value, other.value))
 
     def is_zero(self) -> bool:
         return self.domain.is_zero(self.value)
 
     def __str__(self):
         return self.domain.fmt(self.value)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic on tagged scalars: op in {add, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

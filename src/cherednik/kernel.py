@@ -281,16 +281,6 @@ class GradedKernel:
         return True
 
 
-def kernel_at_degree(d: int, prior: GradedKernel, ctx: DunklContext):
-    """Basis of ker B[d] via the recursive adjointness method."""
-    if prior.ctx is not ctx and prior.ctx != ctx:
-        raise ValueError("prior kernel was computed for a different context")
-    if d < 1:
-        raise ValueError("kernel degrees start at 1; ker B[0] = {0}")
-    prior.compute_degree(d)
-    return prior.basis_polys(d)
-
-
 def default_degree_cap(n: int, p: int, t: int) -> int:
     """Provable support bound: the quotient sits inside the baby Verma
     module, whose series ends at (p for t=1) * (2+3+...+n) - (n-1)."""

@@ -16,7 +16,7 @@ import random
 import re
 from functools import lru_cache
 
-from .fields import CoeffDomain, DomainMismatchError, RationalFunctionField, Scalar
+from .fields import CoeffDomain, DomainMismatchError, RationalFunctionField
 
 Monomial = tuple[int, ...]
 
@@ -97,9 +97,6 @@ class ReducedPoly:
 
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
-
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, self.domain.from_int(0))
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.domain.from_int(0))
@@ -193,51 +190,6 @@ class ReducedPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-
-def poly_arith(f: ReducedPoly, g, op: str) -> ReducedPoly:
-    """Spec surface: op in {add, mul, scalar_mul}; scalar_mul takes a Scalar."""
-    if op == "add":
-        return f.add(g)
-    if op == "mul":
-        return f.mul(g)
-    if op == "scalar_mul":
-        if isinstance(g, Scalar):
-            if g.domain != f.domain:
-                raise DomainMismatchError("scalar domain differs from polynomial")
-            return f.scalar_mul(g.value)
-        return f.scalar_mul(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def c_components(f: ReducedPoly) -> list[ReducedPoly]:
-    """Split f = sum_k c^k f^(k) into its c-graded parts over F_p.
-
-    Requires a generic-c domain and all coefficients polynomial in c
-    (denominator 1); components are returned over PrimeField(p).
-    """
-    dom = f.domain
-    if not isinstance(dom, RationalFunctionField):
-        raise ValueError("c_components requires a generic-c polynomial")
-    comp_dom = CoeffDomain.prime(dom.p)
-    comps: list[dict[Monomial, int]] = []
-    for m, v in f.terms.items():
-        if not dom.is_polynomial(v):
-            raise ValueError(
-                "coefficient has a nontrivial denominator; clear denominators first"
-            )
-        for k, a in enumerate(dom.c_coefficients(v)):
-            a %= dom.p
-            if a == 0:
-                continue
-            while len(comps) <= k:
-                comps.append({})
-            comps[k][m] = a
-    while comps and not comps[-1]:
-        comps.pop()
-    if not comps:
-        return [ReducedPoly.zero(comp_dom, f.nvars)]
-    return [ReducedPoly(comp_dom, f.nvars, t) for t in comps]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Both are always reported; remark_consistent is the default for verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
 
 
@@ -77,12 +77,6 @@ class Series:
 
     def total(self) -> int:
         return sum(self.coeffs)
-
-    def same_coeffs(self, other: "Series") -> bool:
-        return self.coeffs == other.coeffs
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
     def substitute_power(self, p: int) -> "Series":
         """z -> z^p."""

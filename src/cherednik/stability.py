@@ -103,11 +103,6 @@ class StabilityInstance:
         return format_poly(ReducedPoly(dom, self.k, terms)) if terms else "0"
 
 
-def stability_bound(inst: StabilityInstance) -> int:
-    """The statement bound S + k + G - 2 (the safe, larger choice)."""
-    return inst.bound
-
-
 @dataclass
 class PerNEvidence:
     n: int

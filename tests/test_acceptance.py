@@ -55,7 +55,7 @@ def test_criterion_1_t0_exact_reproduction():
         series = computed_hilbert(kernel_for(p, n, 0))
         times[(p, n)] = time.monotonic() - start
         expected = closed_form_t0(n, p)
-        assert series.same_coeffs(expected), (p, n, series.coeffs, expected.coeffs)
+        assert series.coeffs == expected.coeffs, (p, n, series.coeffs, expected.coeffs)
     total = sum(times.values())
     _line(
         1,
@@ -84,7 +84,7 @@ def test_criterion_3_t1_p2_exact_reproduction():
         start = time.monotonic()
         series = computed_hilbert(kernel_for(2, n, 1))
         times[n] = time.monotonic() - start
-        assert series.same_coeffs(closed_form_t1_p2(n)), (n, series.coeffs)
+        assert series.coeffs == closed_form_t1_p2(n).coeffs, (n, series.coeffs)
     _line(
         3,
         True,
@@ -99,7 +99,7 @@ def test_criterion_3_stretch_n7_exact():
     gk = compute_graded_kernel(DunklContext.make(n=7, p=2, t=1))
     assert gk.completed
     series = computed_hilbert(gk)
-    assert series.same_coeffs(closed_form_t1_p2(7)), series.coeffs
+    assert series.coeffs == closed_form_t1_p2(7).coeffs, series.coeffs
     _line(3, True, f"stretch: n=7 certified exact series matches the closed form ({time.monotonic() - start:.0f}s)")
 
 

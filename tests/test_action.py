@@ -91,25 +91,6 @@ def test_degree_zero_returns_zero():
     assert divided_difference(f, 1, 2, 4).is_zero()
 
 
-def test_permutation_action_composition():
-    from cherednik.action import apply_permutation
-
-    dom = CoeffDomain.prime(3)
-    f = parse_poly("x1^2*x2+2*x3", 3, dom)
-    assert apply_permutation(f, (2, 3, 1, 4), 4) == parse_poly(
-        "x2^2*x3+2*x1", 3, dom
-    )
-    assert apply_permutation(f, (4, 2, 3, 1), 4) == apply_transposition(
-        f, Transposition(1, 4), 4
-    )
-    thrice = f
-    for _ in range(3):
-        thrice = apply_permutation(thrice, (2, 3, 1, 4), 4)
-    assert thrice == f
-    with pytest.raises(ValueError):
-        apply_permutation(f, (1, 1, 2, 3), 4)
-
-
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_divided_difference_times_difference_recovers(seed):

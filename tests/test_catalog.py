@@ -1,7 +1,7 @@
 import pytest
 
 from cherednik.fields import CoeffDomain
-from cherednik.poly import c_components, format_poly, parse_poly
+from cherednik.poly import ReducedPoly, format_poly, parse_poly
 from cherednik.dunkl import DunklContext
 from cherednik.catalog import FAMILIES, RegimeError, singular_catalog
 from cherednik.kernel import is_in_kernel, is_singular
@@ -26,8 +26,11 @@ def test_quad_pair_with_substituted_index():
 def test_quartic_c_pair_components():
     ctx = ctx_of(5, 2, 1)
     f = singular_catalog("quartic_c_pair", {"i": 1, "j": 2}, ctx)
-    comps = c_components(f)
-    assert format_poly(comps[0]) == "x1^4+x1^2*x2^2+x2^4"
+    dom = ctx.domain
+    assert all(dom.is_polynomial(v) for v in f.terms.values())
+    c0 = {m: dom.c_coefficients(v)[0] % 2 for m, v in f.terms.items()}
+    part = ReducedPoly(CoeffDomain.prime(2), f.nvars, {m: a for m, a in c0.items() if a})
+    assert format_poly(part) == "x1^4+x1^2*x2^2+x2^4"
     assert is_singular(f, ctx)
 
 

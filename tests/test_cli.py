@@ -367,7 +367,8 @@ def test_hilbert_bad_cell_exit_2(tmp_path, p, n, message, t):
 
 
 def test_sweep_records_a_bad_cell_as_an_error_row(tmp_path):
-    argv = ["sweep", "--p-list", "4", "--n-list", "3", "--t", "0", "--out", str(tmp_path / "grid")]
+    # p = 65537 parses (it is prime) but fails in its cell: generic c needs p < 2^16
+    argv = ["sweep", "--p-list", "65537", "--n-list", "3", "--t", "1", "--out", str(tmp_path / "grid")]
     assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
     with open(tmp_path / "grid" / "summary.csv") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["error"]
@@ -449,12 +450,16 @@ def test_sweep_entry_below_2_is_a_usage_error(tmp_path, p_list, n_list, bad):
     assert not (tmp_path / "grid").exists()
 
 
-@pytest.mark.parametrize("p_list, n_list, bad", [("2,x", "3", "--p-list"), ("2", "3,4.5", "--n-list")])
+@pytest.mark.parametrize(
+    "p_list, n_list, bad", [("2,x", "3", "--p-list"), ("2", "3,4.5", "--n-list"), ("4,2", "3", "--p-list")]
+)
 def test_sweep_malformed_list_is_a_usage_error(tmp_path, p_list, n_list, bad):
+    # a non-prime p used to run, and leave an error row and a run_p4 record
     argv = ["sweep", "--p-list", p_list, "--n-list", n_list, "--t", "0", "--out", str(tmp_path / "grid")]
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2
-    assert f"argument {bad}: not a comma-separated list of integers" in proc.stderr
+    entries = "primes" if p_list == "4,2" else "integers"
+    assert f"argument {bad}: not a comma-separated list of {entries}" in proc.stderr
     assert "internal error" not in proc.stderr
     assert not (tmp_path / "grid").exists()
 

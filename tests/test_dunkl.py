@@ -12,7 +12,6 @@ from cherednik.dunkl import (
     check_commutators,
     dunkl,
     dunkl_difference,
-    dunkl_parts,
     dunkl_z,
     dunkl_z_raw,
     lift_raw,
@@ -192,17 +191,28 @@ def test_linearity(seed):
     assert dunkl_z(f.add(g), i, ctx) == dunkl_z(f, i, ctx).add(dunkl_z(g, i, ctx))
 
 
+def dunkl_parts(text, i, j, n, p):
+    """(alpha, beta) with D_{y_i - y_j} f = alpha + c * beta at t = 1: alpha is
+    D at (t, c) = (1, 0), beta is D at (t, c) = (0, 1), both over F_p."""
+    parts = []
+    for t, c in ((1, 0), (0, 1)):
+        ctx = ctx_of(n, p, t, c)
+        parts.append(dunkl_difference(parse_poly(text, n - 1, ctx.domain), i, j, ctx))
+    return parts
+
+
+def over_generic(f, p):
+    """f over F_p, embedded in F_p(c)."""
+    dom = CoeffDomain.generic(p)
+    return ReducedPoly(dom, f.nvars, {m: dom.from_int(v) for m, v in f.terms.items()})
+
+
 def test_dunkl_parts_examples():
-    ctx = ctx_of(3, 2, 1)
-    f = parse_poly("x1^2", 2, ctx.domain)
-    alpha, beta = dunkl_parts(f, 1, 2, ctx)
+    alpha, beta = dunkl_parts("x1^2", 1, 2, 3, 2)
     assert alpha.is_zero()  # derivative 2 x1 = 0 at p = 2
-    ctx3 = ctx_of(4, 3, 1)
-    g = parse_poly("x1^2", 3, ctx3.domain)
-    alpha3, _ = dunkl_parts(g, 1, 2, ctx3)
-    assert alpha3 == parse_poly("2*x1", 3, ctx3.domain)
-    const = ReducedPoly.constant(ctx.domain, 2, 1)
-    a0, b0 = dunkl_parts(const, 1, 2, ctx)
+    alpha3, _ = dunkl_parts("x1^2", 1, 2, 4, 3)
+    assert alpha3 == parse_poly("2*x1", 3, CoeffDomain.prime(3, 0))
+    a0, b0 = dunkl_parts("1", 1, 2, 3, 2)
     assert a0.is_zero() and b0.is_zero()
 
 
@@ -214,21 +224,15 @@ def test_parts_identity(seed):
     p = rng.choice([2, 3])
     n = rng.randint(3, 5)
     ctx = ctx_of(n, p, 1)
-    f = random_homogeneous(ctx.domain, n - 1, rng.randint(1, 4), rng)
+    f = random_homogeneous(CoeffDomain.prime(p), n - 1, rng.randint(1, 4), rng)
     i = rng.randint(1, n)
     j = rng.randint(1, n)
     if i == j:
         return
-    alpha, beta = dunkl_parts(f, i, j, ctx)
+    alpha, beta = dunkl_parts(format_poly(f), i, j, n, p)
     c = ctx.domain.c_scalar()
-    assert dunkl_difference(f, i, j, ctx) == alpha.add(beta.scalar_mul(c))
-
-
-def test_parts_rejects_t0():
-    ctx = ctx_of(4, 3, 0)
-    f = parse_poly("x1", 3, ctx.domain)
-    with pytest.raises(ValueError):
-        dunkl_parts(f, 1, 2, ctx)
+    got = dunkl_difference(over_generic(f, p), i, j, ctx)
+    assert got == over_generic(alpha, p).add(over_generic(beta, p).scalar_mul(c))
 
 
 @pytest.mark.parametrize("p,t,n", [(2, 0, 3), (3, 1, 4)])

@@ -6,24 +6,22 @@ from cherednik.fields import (
     DomainMismatchError,
     GF2X,
     GFPX,
-    Scalar,
-    scalar_arith,
 )
+from cherednik.poly import ReducedPoly
 
 
 def test_char2_value_add():
     dom = CoeffDomain.prime(2)
-    one = Scalar(dom, dom.from_int(1))
-    assert (one + one).is_zero()
+    one = dom.from_int(1)
+    assert dom.is_zero(dom.add(one, one))
 
 
 def test_generic_inverse_pair():
     dom = CoeffDomain.generic(2)
-    c = Scalar(dom, dom.c_scalar())
-    one = Scalar(dom, dom.one)
-    a = c / (c + one)
-    b = (c + one) / c
-    assert (a * b).value == dom.one
+    c = dom.c_scalar()
+    a = dom.div(c, dom.add(c, dom.one))
+    b = dom.div(dom.add(c, dom.one), c)
+    assert dom.mul(a, b) == dom.one
 
 
 def test_generic_reduction_by_hand_p3():
@@ -36,26 +34,16 @@ def test_generic_reduction_by_hand_p3():
 
 
 def test_division_by_zero():
-    dom = CoeffDomain.generic(2)
-    a = Scalar(dom, dom.one)
-    z = Scalar(dom, dom.zero)
-    with pytest.raises(ZeroDivisionError):
-        _ = a / z
+    for dom in (CoeffDomain.prime(2), CoeffDomain.generic(2)):
+        with pytest.raises(ZeroDivisionError):
+            dom.div(dom.one, dom.zero)
 
 
 def test_domain_mismatch():
-    a = Scalar(CoeffDomain.prime(2), 1)
-    b = Scalar(CoeffDomain.prime(3), 1)
+    a = ReducedPoly.constant(CoeffDomain.prime(2), 2, 1)
+    b = ReducedPoly.constant(CoeffDomain.prime(3), 2, 1)
     with pytest.raises(DomainMismatchError):
-        scalar_arith(a, b, "add")
-
-
-def test_scalar_arith_dispatch():
-    dom = CoeffDomain.prime(5)
-    a, b = Scalar(dom, 3), Scalar(dom, 4)
-    assert scalar_arith(a, b, "add").value == 2
-    assert scalar_arith(a, b, "mul").value == 2
-    assert scalar_arith(a, b, "div").value == 3 * pow(4, 3, 5) % 5
+        a.add(b)
 
 
 @st.composite

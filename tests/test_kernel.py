@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cherednik import kernel as kernel_module, linalg
 from cherednik.action import Transposition, apply_transposition
-from cherednik.fields import CoeffDomain, Scalar
+from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, monomials_of_degree, parse_poly, random_homogeneous
 from cherednik.dunkl import DunklContext, dunkl, reduce_raw
 from cherednik.series import baby_verma_series, computed_hilbert
+from cherednik.catalog import singular_catalog
 from cherednik.kernel import (
     GradedKernel,
     _canonical,
@@ -29,7 +30,6 @@ from cherednik.kernel import (
     gram_rows,
     is_in_kernel,
     is_singular,
-    kernel_at_degree,
     ResourceLimitError,
     slot_symmetry_classes,
 )
@@ -243,11 +243,9 @@ def test_gram_levels_are_held_for_one_context(p, n, t):
 def test_kernel_at_degree_wrapper():
     ctx = ctx_of(5, 2, 0)
     gk = GradedKernel(ctx)
-    basis = kernel_at_degree(2, gk, ctx)
+    basis = gk.basis_polys(2)
     assert len(basis) == 6
     assert all(b.degree() == 2 for b in basis)
-    with pytest.raises(ValueError):
-        kernel_at_degree(0, gk, ctx)
 
 
 @pytest.mark.parametrize(
@@ -583,6 +581,30 @@ def test_slot_symmetry_classes_match_union_find(case):
     with mock.patch.object(kernel_module, "apply_transposition", counted):
         assert slot_symmetry_classes(f, ctx) == want, f
     assert len(calls) <= swaps
+
+
+# Templates whose supports are only partly symmetric: some slot swaps fix the
+# support but not f, or fix f on some slots only.  A slot joined to a class
+# without its swap check leaves the walk on too few multisets, and the
+# second template of each cell, a non-member, loses its witness.
+PARTLY_SYMMETRIC = [
+    ((3, 4, 0), ["x1*x3+x2*x3", "x1*x2+2*x1*x3"]),
+    ((2, 5, 0), ["x1^2+x1*x2+x2^2", "x2*x3+x2*x4", "x1*x3+x1*x4+x2*x3+x3*x4"]),
+    ((2, 3, 1), ["x1^3*x2+x1*x2^3", "x1^4*x2+x1^2*x2^3"]),
+    ((2, 5, 1), ["x1^2*x2+x1*x2^2+x3^3", "(c)*x1^2*x2+(c+1)*x3^2*x4"]),
+]
+
+
+@pytest.mark.parametrize("cell, texts", PARTLY_SYMMETRIC)
+def test_membership_on_partly_symmetric_templates(cell, texts):
+    p, n, t = cell
+    ctx = ctx_of(n, p, t)
+    gk = GradedKernel(ctx)
+    polys = [parse_poly(text, n - 1, ctx.domain) for text in texts]
+    if t == 1 and n == 5:  # a member whose classes are [[1, 2], [3, 4]]
+        polys.append(singular_catalog("quartic_c_pair", {"i": 1, "j": 2}, ctx))
+    for f in polys:
+        assert is_in_kernel(f, ctx).member == gk.reduce_poly(f, f.degree()).is_zero(), f
 
 
 def test_degree_twelve_closure_n5():

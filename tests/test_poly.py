@@ -7,14 +7,12 @@ from cherednik.fields import CoeffDomain
 from cherednik.poly import (
     ParseError,
     ReducedPoly,
-    c_components,
     format_poly,
     format_row,
     monomial_index,
     monomial_name,
     monomials_of_degree,
     parse_poly,
-    poly_arith,
     random_homogeneous,
 )
 
@@ -33,7 +31,7 @@ def test_cube_identity_p2(f2):
 
 def test_additive_identity(f2):
     f = parse_poly("x1^2+x2^2", 3, f2)
-    assert poly_arith(f, ReducedPoly.zero(f2, 3), "add") == f
+    assert f.add(ReducedPoly.zero(f2, 3)) == f
 
 
 def test_difference_of_squares_p3():
@@ -47,26 +45,6 @@ def test_slot_count_mismatch(f2):
     g = parse_poly("x1", 3, f2)
     with pytest.raises(ValueError):
         f.add(g)
-
-
-def test_c_components_direct_split():
-    dom = CoeffDomain.generic(2)
-    f = parse_poly("x1^2+(c)*x2^2", 2, dom)
-    comps = c_components(f)
-    assert [format_poly(c) for c in comps] == ["x1^2", "x2^2"]
-
-
-def test_c_components_constant():
-    dom = CoeffDomain.generic(3)
-    comps = c_components(parse_poly("1", 2, dom))
-    assert len(comps) == 1 and format_poly(comps[0]) == "1"
-
-
-def test_c_components_rejects_fractions():
-    dom = CoeffDomain.generic(2)
-    f = parse_poly("(1/(c+1))*x1", 2, dom)
-    with pytest.raises(ValueError, match="denominator"):
-        c_components(f)
 
 
 def test_parse_examples(f2):

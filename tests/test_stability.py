@@ -12,7 +12,6 @@ from cherednik.stability import (
     _sweep_values,
     certify_mixed_kernel_generator,
     is_stably_in_kernel,
-    stability_bound,
 )
 
 
@@ -21,9 +20,9 @@ def inst(text):
 
 
 def test_bounds_from_formula():
-    assert stability_bound(inst("x1^5*x2")) == 11  # (S,k,G) = (5,2,6)
-    assert stability_bound(inst("x1^6")) == 11  # (6,1,6)
-    assert stability_bound(inst("x1^2*x2^2*x3^2*x4^2")) == 12  # (2,4,8)
+    assert inst("x1^5*x2").bound == 11  # (S,k,G) = (5,2,6)
+    assert inst("x1^6").bound == 11  # (6,1,6)
+    assert inst("x1^2*x2^2*x3^2*x4^2").bound == 12  # (2,4,8)
     assert inst("x1^5*x2").proof_text_bound == 10
 
 
