@@ -18,9 +18,9 @@ goes to its re-sorted key with weight mu_e', the number of U-slots of the
 output carrying its new exponent e' (an integer mod p, so no stabilizer
 order is ever divided by).
 ``split_orbits`` splits each orbit by the value at the first orbit slot.
-The engine and the Gram oracle build each Dunkl matrix in one core pass, a
-group per monomial (``kernel.dunkl_columns``).  ``dunkl`` applies D_{y_i}
-through divided differences, the oracle for the core and for the matrices.
+The engine builds D_1 and the Gram oracle D_{n-1}, each in one core pass a
+degree, a group per monomial (``kernel.dunkl_columns``).  ``dunkl`` applies
+D_{y_i} through divided differences, the oracle for the core and matrices.
 """
 
 from __future__ import annotations

@@ -35,10 +35,10 @@ D_1 is built only on C_d and its images under the slot swaps; an empty C_d
 means L[d] = 0.
 An independent oracle builds the full Gram matrix by a degree recursion on
 its rows, G_e[a] = G_{e-1}[a - e_j] * D_j, keeping every row, and reduces
-G_d alone on every column with no relations; it builds every slot's D_j
-directly.  The recursion runs once per context: the levels G_0..G_e of the
-last context are held, sum_{e<=d} M_e^2 entries, and a call for a higher
-degree extends them.
+G_d alone on every column with no relations; of its Dunkl matrices only
+D_{n-1} is built, D_j = s D_{n-1} s with s = (j n-1), which fixes y_n.  The
+recursion runs once per context: the levels G_0..G_e of the last context are
+held, sum_{e<=d} M_e^2 entries, and a call for a higher degree extends them.
 
 Membership of a single polynomial is decided without any matrices by one
 walk over iterated Dunkl images.  The operators commute, so the walk runs
@@ -200,6 +200,8 @@ class GradedKernel:
     def compute_degree(self, d: int) -> DegreeData:
         if d in self.degrees:
             return self.degrees[d]
+        if d < 0:
+            raise ValueError(f"degree {d} is negative")
         if d - 1 not in self.degrees:
             self.compute_degree(d - 1)
         start = time.perf_counter()
@@ -361,20 +363,34 @@ def _gram_levels(ctx: DunklContext) -> list[list[list]]:
     return [[[linalg.RingAdapter.of(ctx.domain).one]]]
 
 
+def _swapped_columns(core: list[dict], d: int, i: int, nv: int) -> list[dict]:
+    """D_i of degree d from core = D_{n-1}: s = (i n-1) fixes y_n and
+    D_i = s D_{n-1} s, so column s(m) of D_i is column m of core with each
+    row k moved to s(k), s swapping exponent slots i and n-1."""
+    if i == nv:
+        return core
+    s = [[monomial_index(nv, e)[m[: i - 1] + m[-1:] + m[i:-1] + m[i - 1 : i]] for m in monomials_of_degree(nv, e)]
+         for e in (d - 1, d)]
+    return [{s[0][k]: v for k, v in core[q].items()} for q in s[1]]
+
+
 def gram_rows(d: int, ctx: DunklContext) -> list[list]:
     """The Gram matrix G_d[a][m] = B(y^a, x^m) as dense rows of ring values.
 
     Rows (y-multisets a) and columns (monomials m) both follow the order of
     monomials_of_degree.  The operators commute, so with j the last nonzero
-    slot of a, G_e[a] = G_{e-1}[a - e_j] * D_j, D_j = dunkl_columns(e, j):
-    one compose per slot and degree from G_0 = [[1]], keeping every row and
-    eliminating nothing between degrees.  One recursion runs per context:
-    the levels G_0..G_e built so far are held (``_gram_levels``), a call for
-    d <= e returns level d and a call for d > e extends them from G_e.  They
-    hold sum_{e<=d} M_e^2 entries, M_e the number of degree-e monomials,
-    where G_d alone is M_d^2.  The returned rows are those held: callers
-    only read them.
+    slot of a, G_e[a] = G_{e-1}[a - e_j] * D_j: one compose per slot and
+    degree from G_0 = [[1]], keeping every row and eliminating nothing
+    between degrees, and one core pass per degree, for D_{n-1}, whose
+    relabelings give the other D_j (``_swapped_columns``).  One recursion
+    runs per context: the levels G_0..G_e built so far are held
+    (``_gram_levels``), a call for d <= e returns level d and one for d > e
+    extends them from G_e.  They hold sum_{e<=d} M_e^2 entries, M_e the
+    number of degree-e monomials, where G_d alone is M_d^2.  The returned
+    rows are those held: callers only read them.
     """
+    if d < 0:
+        raise ValueError(f"degree {d} is negative")
     nv, levels = ctx.nvars, _gram_levels(ctx)
     adapter = linalg.RingAdapter.of(ctx.domain)
     for e in range(len(levels), d + 1):
@@ -383,13 +399,13 @@ def gram_rows(d: int, ctx: DunklContext) -> list[list]:
         for a in monomials_of_degree(nv, e):
             j = max(k for k in range(nv) if a[k])
             by_slot.setdefault(j, []).append(a)
-        nxt = {}
+        nxt, core = {}, dunkl_columns(e, nv, ctx)
         for j, multisets in by_slot.items():
             below = [gram[idx_prev[a[:j] + (a[j] - 1,) + a[j + 1:]]] for a in multisets]
-            cols = dunkl_columns(e, j + 1, ctx)
+            cols = _swapped_columns(core, e, j + 1, nv)
             nxt.update(zip(multisets, linalg.compose_rows_columns(adapter, below, cols)))
         levels.append([nxt[a] for a in monomials_of_degree(nv, e)])
-    return levels[max(d, 0)]
+    return levels[d]
 
 
 def gram_oracle_kernel(
@@ -403,8 +419,6 @@ def gram_oracle_kernel(
     of ctx, so asking for degrees 1, 2, ..., D builds each level once, and
     ``linalg.echelon`` reduces G_d without changing the rows held.
     """
-    if d == 0:
-        return [], []
     n_monos = len(monomials_of_degree(ctx.nvars, d))
     if n_monos * n_monos > max_pairings:
         raise ResourceLimitError(

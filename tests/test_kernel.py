@@ -22,6 +22,7 @@ from cherednik.kernel import (
     _pairings,
     _stacked_rows,
     _staircase,
+    _swapped_columns,
     _walk,
     compute_graded_kernel,
     contravariant_pairing,
@@ -369,9 +370,71 @@ def test_dunkl_columns_match_divided_differences(p, t, n, d, c, seed):
                 assert not col
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    n=st.integers(2, 6),
+    d=st.integers(1, 5),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+)
+@example(p=3, t=1, n=2, d=4, c="generic")  # one slot: nothing to relabel
+@example(p=2, t=0, n=5, d=3, c=0)  # D = t (d_i - d_n) = 0: every column empty
+@example(p=5, t=0, n=6, d=3, c=2)
+@example(p=2, t=1, n=6, d=4, c="generic")
+def test_swapped_columns_match_the_core(p, t, n, d, c):
+    # D_i relabeled from D_{n-1} by s = (i n-1) against D_i from the core, on
+    # every column, as sparse maps: a relabeled column may list its rows in
+    # another order
+    ctx = ctx_of(n, p, t, c if c == "generic" else c % p)
+    core = dunkl_columns(d, n - 1, ctx)
+    for i in range(1, n):
+        assert _swapped_columns(core, d, i, n - 1) == dunkl_columns(d, i, ctx), i
+
+
+@pytest.mark.parametrize("p, n, t", [(2, 5, 0), (3, 4, 1), (5, 3, 0), (2, 2, 1)])
+def test_gram_rows_run_the_core_once_per_level(p, n, t):
+    # one core matrix, D_{n-1}, per new level, and none for a level held
+    ctx, calls = ctx_of(n, p, t), []
+    core = kernel_module.dunkl_columns
+
+    def counted(d, i, ctx, monomials=None):
+        calls.append((d, i))
+        return core(d, i, ctx, monomials)
+
+    _gram_levels.cache_clear()
+    with mock.patch.object(kernel_module, "dunkl_columns", counted):
+        for d in range(1, 5):
+            gram_rows(d, ctx)
+            assert calls == [(e, n - 1) for e in range(1, d + 1)], d
+        for d in (4, 2, 0):
+            gram_rows(d, ctx)
+    assert calls == [(e, n - 1) for e in range(1, 5)]
+    _gram_levels.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: GradedKernel(ctx).kernel(-1),
+        lambda ctx: GradedKernel(ctx).compute_degree(-1),
+        lambda ctx: GradedKernel(ctx).basis_polys(-1),
+        lambda ctx: GradedKernel(ctx).reduce_poly(ReducedPoly(ctx.domain, ctx.nvars, {}), -1),
+        lambda ctx: gram_rows(-2, ctx),
+        lambda ctx: gram_oracle_kernel(-1, ctx),
+    ],
+    ids=["kernel", "compute_degree", "basis_polys", "reduce_poly", "gram_rows", "gram_oracle_kernel"],
+)
+def test_negative_degree_is_a_value_error(call):
+    with pytest.raises(ValueError, match="negative"):
+        call(ctx_of(4, 3, 1))
+
+
 def test_gram_oracle_degree_zero_and_limit():
     ctx = ctx_of(5, 2, 0)
     assert gram_oracle_kernel(0, ctx) == ([], [])
+    assert GradedKernel(ctx).kernel(0) == ([], []) and GradedKernel(ctx).basis_polys(0) == []
+    assert gram_rows(0, ctx) == [[linalg.RingAdapter.of(ctx.domain).one]]
     with pytest.raises(ResourceLimitError):
         gram_oracle_kernel(6, ctx, max_pairings=10)
 
