@@ -291,7 +291,8 @@ def _prime_list(text: str) -> list[int]:
 
 def _at_least_zero(convert, kind: str):
     """An argparse type: convert(text), a usage error unless at least 0.  A negative
-    cap or budget runs no degree yet records exceeded_cap; a NaN budget never stops a run."""
+    cap or budget runs no degree yet records exceeded_cap, a negative count of extra
+    odd n sweeps none; a NaN budget never stops a run."""
 
     def parse(text: str):
         try:
@@ -305,7 +306,7 @@ def _at_least_zero(convert, kind: str):
     return parse
 
 
-_max_degree = _at_least_zero(int, "an integer")  # the last degree to compute
+_count = _at_least_zero(int, "an integer")  # the last degree to compute, or the odd n past the bound
 _budget = _at_least_zero(float, "a number")  # seconds, checked before each degree
 
 
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--n", type=int, required=True)
     h.add_argument("--t", type=int, required=True, choices=(0, 1))
     h.add_argument("--c", type=str, default=None, help="'generic' or a residue mod p")
-    h.add_argument("--max-degree", type=_max_degree, default=None)
+    h.add_argument("--max-degree", type=_count, default=None)
     h.add_argument("--no-cache", action="store_true")
     h.add_argument("--cache-dir", type=str, default=None)
     h.add_argument("--dump-kernel", type=str, default=None)
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--t", type=int, default=None, choices=(0, 1))
     ck.add_argument("--c", type=str, default=None)
     ck.add_argument("--experimental", action="store_true")
-    ck.add_argument("--extra-above-bound", type=int, default=0)
+    ck.add_argument("--extra-above-bound", type=_count, default=0)
     ck.set_defaults(func=cmd_check)
 
     sw = sub.add_parser("sweep", help="grid of hilbert runs with CSV summary")
@@ -536,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t", type=int, required=True, choices=(0, 1))
     sw.add_argument("--c", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
-    sw.add_argument("--max-degree", type=_max_degree, default=None)
+    sw.add_argument("--max-degree", type=_count, default=None)
     sw.add_argument("--budget-seconds", type=_budget, default=None,
                     help="checked before each degree, so one degree can run past it")
     sw.add_argument("--cache-dir", type=str, default=None)

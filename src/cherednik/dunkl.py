@@ -16,8 +16,11 @@ orbit representatives, the terms with nonincreasing U-exponents: a run of
 equal U-exponents e is treated at one of its slots, and each output term
 goes to its re-sorted key with weight mu_e', the number of U-slots of the
 output carrying its new exponent e' (an integer mod p, so no stabilizer
-order is ever divided by).
-``split_orbits`` splits each orbit by the value at the first orbit slot.
+order is ever divided by).  The spare slots' reflection terms are read off
+per-slot tables by the exponents (a, e, b) of slots i, k and n, held with
+the operator's layout, of which the last 8 are kept.
+``split_orbits`` splits each orbit by the values at the orbit slots before a
+suffix that stays symmetric, the empty suffix in one pass to plain terms.
 The engine builds D_1 and the Gram oracle D_{n-1}, each in one core pass a
 degree, a group per monomial (``kernel.dunkl_columns``).  ``dunkl`` applies
 D_{y_i} through divided differences, the oracle for the core and matrices.
@@ -26,6 +29,7 @@ D_{y_i} through divided differences, the oracle for the core and matrices.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -128,12 +132,15 @@ def unpack_monomial(key: int, slots: int, nb: int) -> Monomial:
     return tuple(int.from_bytes(raw[j : j + nb], "little") for j in range(0, len(raw), nb))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _core_layout(i: int, n: int, t: int, c, ring: RingAdapter, nb: int, orbit: tuple[int, ...]):
-    """The per-operator constants of ``_dunkl_core``, built once.
+    """The per-operator constants of ``_dunkl_core``, built once; the last 8
+    layouts are held, with the tables they have filled.
 
-    The orbit slots get a mask covering them and slots i and n, and a memo
-    of ``_orbit_table`` by masked key; with no orbit slots the mask is 0.
+    Each spare slot k (not i, n or an orbit slot) gets a memo of
+    ``_spare_terms`` by the exponents (a, e, b) of slots i, k and n.  The
+    orbit slots get a mask covering them and slots i and n, and a memo of
+    ``_orbit_table`` by masked key; with no orbit slots the mask is 0.
     """
     add, neg, mul, of_int = ring.add, ring.neg, ring.mul, ring.of_int
     norm = ring.norm or (lambda w: w)
@@ -145,15 +152,37 @@ def _core_layout(i: int, n: int, t: int, c, ring: RingAdapter, nb: int, orbit: t
     at_n = tuple(tuple(norm(neg(w)) for w in row) for row in rows)
     unit = [1 << (8 * nb * k) for k in range(n)]
     ui, un = unit[i - 1], unit[n - 1]
-    # (slot k, its unit, step of delta_{ik}, step of delta_{kn}), 0-based slots
-    spare = tuple(
-        (k, unit[k], ui - unit[k], unit[k] - un)
-        for k in range(n - 1)
-        if k != i - 1 and k + 1 not in orbit
-    )
+    spare = tuple((k, unit[k], {}) for k in range(n - 1) if k != i - 1 and k + 1 not in orbit)
     full = (1 << (8 * nb)) - 1
     omask = sum(full * unit[k - 1] for k in (i, n) + orbit) if orbit else 0
     return of_int(2), at_i, at_n, ui, un, spare, ui - un, omask, {}
+
+
+def _spare_terms(a: int, e: int, b: int, ui: int, uk: int, un: int):
+    """The delta_{ik} and delta_{kn} terms of a spare slot k on x_i^a x_k^e x_n^b.
+
+    Returns the key offsets that take -c v and those that take c v.
+    An empty slot (e = 0) leaves its terms at m - e_i and m - e_n to the
+    core's count of zeros, the last of delta_{ik} and the first of
+    delta_{kn}, so it has none when a, b <= 1.  When e exceeds a and b, the
+    two sums have terms at m - e_k of opposite signs, the first of
+    delta_{ik} and the last of delta_{kn}, and neither is written.
+    """
+    step_ik, step_kn = ui - uk, uk - un
+
+    def run(start: int, step: int, count: int) -> range:
+        return range(start, start + count * step, step)
+
+    minus, plus = [], []
+    if a > e:  # delta_{ik} on x_i^a x_k^e
+        minus += run((e - a) * ui + (a - 1 - e) * uk, step_ik, a - e - (not e))
+    elif a < e:
+        plus += run((e > b) * step_ik - uk, step_ik, e - a - (e > b))
+    if e > b:  # delta_{kn} on x_k^e x_n^b
+        minus += run((b - e) * uk + (e - 1 - b) * un, step_kn, e - b - (e > a))
+    elif e < b:
+        plus += run((not e) * step_kn - un, step_kn, b - e - (not e))
+    return tuple(minus), tuple(plus)
 
 
 def _orbit_table(mkey: int, i: int, n: int, nb: int, orbit: tuple[int, ...], ring: RingAdapter):
@@ -206,7 +235,9 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: RingAdapter, orbit: 
     one term at m - e_i and delta_{kn} one at m - e_n; those are summed with
     t (d_i - d_n) into one update each.  When m_k exceeds m_i and m_n, the
     two sums of slot k have terms at m - e_k of opposite signs, and neither
-    is written.  Empty groups are dropped.  Reducing slot n afterwards is
+    is written.  Both rules live in ``_spare_terms``: each spare slot's
+    offsets are built once per (a, e, b) and the term loop only looks them
+    up and adds.  Empty groups are dropped.  Reducing slot n afterwards is
     sound in every characteristic: [y_i - y_n, x_1 + ... + x_n] = 0, so the
     operator preserves that ideal.
 
@@ -218,6 +249,7 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: RingAdapter, orbit: 
     """
     p, add, neg, mul, zero, nb = ring.p, ring.add, ring.neg, ring.mul, ring.zero, f.nb
     two, at_i, at_n, ui, un, spare, step_in, omask, tables = _core_layout(i, n, t, c, ring, nb, orbit)
+    wb = 8 * nb
     groups = []
     for den, terms in f.groups:
         out: dict[int, object] = {}
@@ -230,43 +262,18 @@ def _dunkl_core(f: Packed, i: int, n: int, t: int, c, ring: RingAdapter, orbit: 
                 zeros = m.count(0) - (not a) - (not b)
                 cv = neg(mul(v, c))
                 ncv = neg(cv)
-                rest = a > 1 or b > 1
-                for k, uk, step_ik, step_kn in spare:
-                    e = m[k]
-                    if not e:
-                        if not rest:
-                            continue
-                        # delta_{ik} but its term at m - e_i: x_i^s x_k^(a-1-s), s < a - 1
-                        start = key - a * ui + (a - 1) * uk
-                        for _ in range(a - 1):
-                            out[start] = add(get(start, zero), cv)
-                            start += step_ik
-                        # delta_{kn} but its term at m - e_n: -x_k^s x_n^(b-1-s), 0 < s < b
-                        start = key + uk - 2 * un
-                        for _ in range(b - 1):
-                            out[start] = add(get(start, zero), ncv)
-                            start += step_kn
-                        continue
-                    # for e > a, b the cancelling terms at m - e_k are skipped:
-                    # the first of delta_{ik} and the last of delta_{kn}
-                    if a != e:  # delta_{ik} on x_i^a x_k^e
-                        if a > e:
-                            sv, start, stop = cv, key + (e - a) * ui + (a - 1 - e) * uk, a - e
-                        else:
-                            sv, start, stop = ncv, key - uk, e - a
-                            if e > b:
-                                start, stop = start + step_ik, stop - 1
-                        for _ in range(stop):
-                            out[start] = add(get(start, zero), sv)
-                            start += step_ik
-                    if e != b:  # delta_{kn} on x_k^e x_n^b
-                        if e > b:
-                            sv, start, stop = cv, key + (b - e) * uk + (e - 1 - b) * un, e - b - (e > a)
-                        else:
-                            sv, start, stop = ncv, key - un, b - e
-                        for _ in range(stop):
-                            out[start] = add(get(start, zero), sv)
-                            start += step_kn
+                ab = (a << wb | b) << wb
+                for k, uk, table in spare:
+                    try:
+                        minus, plus = table[ab | m[k]]
+                    except KeyError:
+                        minus, plus = table[ab | m[k]] = _spare_terms(a, m[k], b, ui, uk, un)
+                    for off in minus:
+                        kk = key + off
+                        out[kk] = add(get(kk, zero), cv)
+                    for off in plus:
+                        kk = key + off
+                        out[kk] = add(get(kk, zero), ncv)
                 if omask:
                     mk = key & omask
                     if (table := tables.get(mk)) is None:
@@ -315,33 +322,48 @@ def dunkl_z_raw(f: Packed, i: int, ctx: DunklContext, orbit: tuple[int, ...] = (
     return _dunkl_core(f, i, ctx.n, ctx.t, ring.c, ring, orbit)
 
 
+def _arrangements(counts: dict[int, int], length: int):
+    """The distinct sequences of ``length`` values drawn from the multiset
+    {value: count}, in descending lexicographic order when its values descend;
+    at each yield ``counts`` holds the values not drawn."""
+    if not length:
+        yield ()
+        return
+    for v, k in counts.items():
+        if k:
+            counts[v] = k - 1
+            for tail in _arrangements(counts, length - 1):
+                yield (v,) + tail
+            counts[v] = k
+
+
 @lru_cache(maxsize=None)
-def _split_offsets(upart: int, n: int, nb: int, orbit: tuple[int, ...]) -> tuple[int, ...]:
+def _split_offsets(upart: int, n: int, nb: int, orbit: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
     """Key offsets from one Sym(orbit)-representative to the
-    Sym(orbit[1:])-representatives of its orbit, one per distinct value
-    moved to slot orbit[0]; the other values stay nonincreasing."""
+    Sym(rest)-representatives of its orbit, rest a suffix of orbit: one per
+    distinct arrangement of the values on the slots before rest, the other
+    values staying nonincreasing on rest."""
     m = unpack_monomial(upart, n, nb)
     vals = [m[k - 1] for k in orbit]
-    offs = []
-    for q, v in enumerate(vals):
-        if q and v == vals[q - 1]:
-            continue
-        new = [v] + vals[:q] + vals[q + 1 :]
+    counts, offs = Counter(vals), []
+    for head in _arrangements(counts, len(orbit) - len(rest)):
+        new = head + tuple(v for v, k in counts.items() for _ in range(k))
         offs.append(sum((x - y) << (8 * nb * (k - 1)) for x, y, k in zip(new, vals, orbit)))
     return tuple(offs)
 
 
-def split_orbits(f: Packed, n: int, orbit: tuple[int, ...]) -> Packed:
+def split_orbits(f: Packed, n: int, orbit: tuple[int, ...], rest: tuple[int, ...]) -> Packed:
     """f given by Sym(orbit)-representatives, rewritten by
-    Sym(orbit[1:])-representatives: each orbit splits by the value at slot
-    orbit[0], and each part keeps the coefficient."""
+    Sym(rest)-representatives, rest a suffix of orbit: each orbit splits by
+    the values on the slots before rest, and each part keeps the
+    coefficient.  rest = () expands f to plain terms in one pass."""
     nb = f.nb
     umask = sum(((1 << (8 * nb)) - 1) << (8 * nb * (k - 1)) for k in orbit)
     groups = []
     for den, terms in f.groups:
         out = {}
         for key, v in terms.items():
-            for off in _split_offsets(key & umask, n, nb, orbit):
+            for off in _split_offsets(key & umask, n, nb, orbit, rest):
                 out[key + off] = v
         groups.append((den, out))
     return Packed(nb, groups)

@@ -53,8 +53,9 @@ representative per Sym(U)-orbit, the term with nonincreasing U-exponents,
 and the core weights each re-sorted output by mu_e', the number of U-slots
 carrying its new exponent e'.  A child on the first untouched spare slot
 j = U[0] first splits each orbit into Sym(U - {j})-orbits, one per value at
-j.  The work per node no longer grows with n.  The leaves are expanded
-back to plain terms, and only they are reduced.
+j.  The work per node no longer grows with n.  Each leaf is expanded back
+to plain terms in one pass, every representative sent straight to each
+distinct arrangement of its U-values, and only the leaves are reduced.
 """
 
 from __future__ import annotations
@@ -498,16 +499,11 @@ def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext) -> dict:
                     continue
                 src, rest = g, orbit
                 if orbit and j == orbit[0]:
-                    src, rest = split_orbits(g, n, orbit), orbit[1:]
+                    src, rest = split_orbits(g, n, orbit, orbit[1:]), orbit[1:]
                 if (img := dunkl_z_raw(src, j, ctx, rest)).groups:
                     nxt[child] = (img, rest)
         level = nxt
-    leaves = {}
-    for a, (g, orbit) in level.items():
-        for k in range(len(orbit)):
-            g = split_orbits(g, n, orbit[k:])
-        leaves[a] = g
-    return leaves
+    return {a: split_orbits(g, n, orbit, ()) if orbit else g for a, (g, orbit) in level.items()}
 
 
 def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -> Membership:

@@ -32,7 +32,9 @@ def grlex_key(m: Monomial):
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of total degree d, graded-lex descending."""
+    """All exponent tuples of total degree d, graded-lex descending; none for d < 0."""
+    if d < 0:
+        return ()
     if nvars == 0:
         return ((),) if d == 0 else tuple()
     if nvars == 1:

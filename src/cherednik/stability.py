@@ -161,8 +161,10 @@ def is_stably_in_kernel(
     t = 1 with generic c is a certified regime; any other combination needs
     experimental=True and yields a non-certifying sweep over the same range.
     extra_above_bound adds odd n beyond the bound as an empirical check of
-    the criterion itself.
+    the criterion itself; a negative count is a ValueError.
     """
+    if extra_above_bound < 0:
+        raise ValueError(f"extra_above_bound must be at least 0, not {extra_above_bound}")
     inst = f if isinstance(f, StabilityInstance) else StabilityInstance.from_poly(f)
     certifying = inst.p == 2 and t == 1
     if not certifying and not experimental:

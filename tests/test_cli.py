@@ -316,6 +316,14 @@ def test_check_stable(tmp_path):
     assert out["bound"] == 12
 
 
+def test_negative_extra_above_bound_is_a_usage_error(tmp_path):
+    # -3 used to exit 0 with the sweep of --extra-above-bound 0
+    proc = run_cli(["check", "stable", "--poly", "x1^6", "--p", "2", "--extra-above-bound", "-3"], tmp_path)
+    assert proc.returncode == 2
+    assert "argument --extra-above-bound: must be at least 0: '-3'" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_check_parse_failure_exit_2(tmp_path):
     proc = run_cli(
         ["check", "singular", "--poly", "x9", "--p", "2", "--n", "5", "--t", "0"],

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cherednik.dunkl import (
     dunkl_z_raw,
     lift_raw,
     pack_monomial,
+    _spare_terms,
     split_orbits,
     unpack_monomial,
 )
@@ -278,6 +280,29 @@ def test_degree_past_one_byte_per_slot(p, t):
         assert image == _difference_oracle(f, i, ctx)
 
 
+@pytest.mark.parametrize("slots", [(1, 2, 4), (3, 2, 4), (2, 5, 6)])
+def test_spare_terms_follow_the_reflection_sums(slots):
+    # a spare slot k's table entry on x_i^a x_k^e x_n^b is delta_{ik} +
+    # delta_{kn} as the key offsets that take -c v and those that take c v,
+    # each offset written once: the terms at m - e_i and m - e_n of an empty slot are
+    # left out, and the pair at m - e_k that cancels when e > a, b is skipped
+    ui, uk, un = (1 << 8 * (s - 1) for s in slots)
+    for a, e, b in itertools.product(range(5), repeat=3):
+        want: dict = {}
+        for x, y, ux, uy in ((a, e, ui, uk), (e, b, uk, un)):
+            sign = 1 if x > y else -1
+            for s in range(min(x, y), max(x, y)):
+                off = (s - x) * ux + (x - 1 - s) * uy
+                if not e and off in (-ui, -un):
+                    continue
+                want[off] = want.get(off, 0) + sign
+        want = {off: w for off, w in want.items() if w}
+        minus, plus = _spare_terms(a, e, b, ui, uk, un)
+        got = [(off, 1) for off in minus] + [(off, -1) for off in plus]
+        assert len({off for off, _ in got}) == len(got), (a, e, b)
+        assert dict(got) == want, (a, e, b)
+
+
 @pytest.mark.parametrize("nb", [1, 2])
 @pytest.mark.parametrize("p,t,c", [(2, 1, "generic"), (3, 1, "generic"), (5, 0, 1), (3, 1, 2)])
 def test_core_on_orbit_representatives(nb, p, t, c):
@@ -295,11 +320,57 @@ def test_core_on_orbit_representatives(nb, p, t, c):
     orbit, reps, plain = (2, 4, 5, 6), g, g
     for j in (1, 3, 2, 1, 4):
         if j == orbit[0]:
-            reps, orbit = split_orbits(reps, n, orbit), orbit[1:]
+            reps, orbit = split_orbits(reps, n, orbit, orbit[1:]), orbit[1:]
         reps = dunkl_z_raw(reps, j, ctx, orbit)
         plain = dunkl_z_raw(plain, j, ctx)
-        expanded = reps
-        for k in range(len(orbit)):
-            expanded = split_orbits(expanded, n, orbit[k:])
+        expanded = split_orbits(reps, n, orbit, ())
         assert plain.groups
         assert dict(expanded.groups) == dict(plain.groups)
+
+
+@st.composite
+def _orbit_representatives(draw):
+    """(f, n, orbit): packed terms given by Sym(orbit)-representatives.  The
+    orbit slots hold a run of one base value and at most three other slots,
+    in runs of length 1, 2 or 3, so runs of length p = 2, 3 occur and no
+    term has more than 11 * 10 * 9 arrangements."""
+    nb = draw(st.sampled_from([1, 2]))
+    size = draw(st.integers(1, 11))
+    n = size + draw(st.integers(1, 3))
+    orbit = tuple(range(n - size, n))
+    value = st.integers(0, 300) if nb == 2 else st.integers(0, 9)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        runs = draw(st.lists(st.tuples(value, st.sampled_from([1, 2, 3])), max_size=2))
+        vals = [v for v, length in runs for _ in range(length)][:3][:size]
+        vals = sorted(vals + [draw(value)] * (size - len(vals)), reverse=True)
+        head = [draw(value) for _ in range(n - size)]
+        terms[pack_monomial(tuple(head[:-1] + vals + head[-1:]), nb)] = draw(st.integers(1, 4))
+    return Packed(nb, [(None, terms)]), n, orbit
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_orbit_representatives())
+def test_one_pass_expansion_matches_single_slot_splits(case):
+    # splitting to () in one pass equals len(orbit) splits of one slot each,
+    # term for term and in the same order, and each representative goes to
+    # every distinct arrangement of its orbit values, repeated values included
+    f, n, orbit = case
+    step = f
+    for k in range(len(orbit)):
+        step = split_orbits(step, n, orbit[k:], orbit[k + 1 :])
+    once = split_orbits(f, n, orbit, ())
+    assert list(once.groups[0][1].items()) == list(step.groups[0][1].items())
+    fixed = [k for k in range(1, n + 1) if k not in orbit]
+    got: dict = {}
+    for key in once.groups[0][1]:
+        m = unpack_monomial(key, n, f.nb)
+        vals = tuple(m[k - 1] for k in orbit)
+        got.setdefault((tuple(m[k - 1] for k in fixed), tuple(sorted(vals, reverse=True))), set()).add(vals)
+    assert len(got) == len(f.groups[0][1])
+    for key in f.groups[0][1]:
+        m = unpack_monomial(key, n, f.nb)
+        vals = tuple(m[k - 1] for k in orbit)
+        arranged = got[tuple(m[k - 1] for k in fixed), vals]
+        assert vals in arranged
+        assert len(vals) > 7 or arranged == set(itertools.permutations(vals))

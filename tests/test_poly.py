@@ -125,6 +125,14 @@ def test_monomial_order_graded_lex_descending():
     assert list(monos) == sorted(monos, reverse=True)
 
 
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [-1, -2])
+def test_no_monomial_of_negative_degree(nvars, d):
+    # one variable used to give ((d,),), an exponent tuple that is no monomial
+    assert monomials_of_degree(nvars, d) == ()
+    assert monomial_index(nvars, d) == {}
+
+
 @pytest.mark.parametrize("p,mode", [(2, "generic"), (3, "generic"), (5, "value")])
 @settings(max_examples=167, deadline=None)
 @given(seed=st.integers(0, 10**9))

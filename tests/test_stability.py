@@ -1,8 +1,9 @@
+import importlib
 import json
 
 import pytest
 
-from cherednik import cli
+from cherednik import cli, stability
 from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, parse_poly
 from cherednik.dunkl import DunklContext, dunkl_difference
@@ -156,6 +157,33 @@ def test_heaviest_family_two_n_past_the_bound():
     assert v.stable
     assert [e.n for e in v.per_n] == list(range(5, 20, 2))
     assert all(e.in_kernel for e in v.per_n)
+
+
+def test_negative_extra_above_bound_is_a_value_error():
+    # -1 used to sweep as if it were 0
+    with pytest.raises(ValueError, match="extra_above_bound must be at least 0"):
+        is_stably_in_kernel(inst("x1^6"), extra_above_bound=-1)
+
+
+def test_held_tables_never_change_a_verdict(monkeypatch):
+    # the core's layouts hold the spare-slot and orbit tables a walk fills:
+    # a sweep that rebuilds them for every n gives the verdict of one that
+    # finds them left warm by other families
+    core_layout = importlib.import_module("cherednik.dunkl")._core_layout
+    targets = ["x1^5*x2^2*x3^2", "x1^3*x2^3*x3^3"]
+    warm = {}
+    for text in ["x1^6", "x1^4*x2^4", "x1^2*x2^2*x3^2*x4^2", "x1^5*x2"] + targets:
+        warm[text] = is_stably_in_kernel(inst(text)).to_json()
+    membership = stability.is_in_kernel
+
+    def cold(f, ctx):
+        core_layout.cache_clear()
+        return membership(f, ctx)
+
+    monkeypatch.setattr(stability, "is_in_kernel", cold)
+    for text in targets:
+        assert is_stably_in_kernel(inst(text)).to_json() == warm[text]
+        assert warm[text]["stable"] and len(warm[text]["per_n"]) >= 5
 
 
 def test_verdict_json_shape():
