@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from cherednik.cli import _run_cell
+from cherednik.cli import _budget, _run_cell
 
 
 CELLS = (
@@ -24,7 +24,7 @@ CELLS = (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="tables_out")
-    ap.add_argument("--budget-seconds", type=float, default=900.0)
+    ap.add_argument("--budget-seconds", type=_budget, default=900.0)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

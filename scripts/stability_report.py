@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from cherednik.cli import _count
 from cherednik.stability import (
     MIXED_GENERATOR,
     MIXED_X1_MULTIPLE,
@@ -32,7 +33,7 @@ FAMILIES = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="stability_out")
-    ap.add_argument("--extra-above-bound", type=int, default=0)
+    ap.add_argument("--extra-above-bound", type=_count, default=0)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

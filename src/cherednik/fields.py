@@ -24,6 +24,7 @@ shared by the Dunkl core, compose and elimination.
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -549,12 +550,45 @@ def _digits(code: int, p: int, k: int) -> list[int]:
     return [code // p**i % p for i in range(k)]
 
 
-def _digitwise_sums(p: int, w: list[int]) -> list[int]:
-    """Code of x + w digit by digit mod p, for every code x of len(w) digits."""
-    return [
-        sum((d + e) % p * p**i for i, (d, e) in enumerate(zip(_digits(x, p, len(w)), w)))
-        for x in range(p ** len(w))
-    ]
+def _powers(p: int, k: int, neg_m: list[int]) -> array:
+    """The codes of c^i, 0 <= i < 2(p^k - 1), where c^k = sum neg_m[i] c^i.
+
+    Block [s, 2s) is c^s times block [0, s) up to 4096 entries, then each chunk
+    [s, s + 4096) is c^s times that block.  x -> c^s x is F_p-linear, so it maps
+    a block in bulk: at p = 2 as 16-bit lanes of one int, at odd p < 128 as byte
+    planes of digits by ``bytes.translate`` and int sums, which k(p - 1) < 256
+    keeps within a byte; else (k <= 2) code by code.  Lanes are in native order.
+    """
+    order, planes, chunk, native = p**k - 1, p > 2 and k * (p - 1) < 256, 4096, sys.byteorder
+    exp, block = array("H", [1]), [b"\1"] + [b"\0"] * (k - 1)
+    scale = [bytes(a * v % p for v in range(256)) for a in range(p if planes else 0)]
+    while (n := len(exp)) < order:
+        cols = [_digits(exp[-1], p, k)]
+        for _ in range(k):  # then the digits of c^n, ..., c^(n+k-1)
+            cols.append([(a + cols[-1][-1] * b) % p for a, b in zip([0] + cols[-1][:-1], neg_m)])
+        cols, size, lanes = cols[1:], min(n, chunk, order - n), 0
+        if p == 2:  # c^n x = XOR over b of x_b c^(n+b), lane by lane
+            x, ones = (int.from_bytes(a[:size].tobytes(), native) for a in (exp, array("H", [1]) * size))
+            for b, w in enumerate(cols):
+                lanes ^= (x >> b & ones) * sum(a << i for i, a in enumerate(w))
+        elif planes:
+            sums = [{a: int.from_bytes(P[:size].translate(scale[a]), "little") for a in set(w) if a}
+                    for P, w in zip(block, cols)]
+            new = [sum(S.get(w[j], 0) for S, w in zip(sums, cols)).to_bytes(size, "little")
+                   .translate(scale[1]) for j in range(k)]  # scale[1] is mod p
+            buf = bytearray(2 * size)
+            for j, P in enumerate(new):  # the codes as 16-bit lanes
+                buf[native == "big" :: 2] = P
+                lanes += int.from_bytes(buf, native) * p**j
+            if n < chunk:
+                block = [a + b for a, b in zip(block, new)]
+        elif k == 1:
+            new = [x * cols[0][0] % p for x in exp[:size]]
+        else:
+            (a0, a1), (b0, b1) = cols  # x = x_0 + x_1 c: c^n x = x_0 c^n + x_1 c^(n+1)
+            new = [(x % p * a0 + x // p * b0) % p + p * ((x % p * a1 + x // p * b1) % p) for x in exp[:size]]
+        exp.extend(array("H", lanes.to_bytes(2 * size, native)) if p == 2 or planes else new)
+    return exp + exp  # doubled: no mod in mul
 
 
 def _powmod(R, a, e: int, m):
@@ -567,7 +601,7 @@ def _powmod(R, a, e: int, m):
     return result
 
 
-@lru_cache(maxsize=4)  # at most four fields, well under 2 MB of tables
+@lru_cache(maxsize=4)  # at most four fields, well under 2 MB of tables, each built in 10-20 ms
 def point_field(p: int, j: int) -> "TableField":
     """F_p[c]/(m) for the j-th primitive m = c^k + ..., k = table_degree(p).
 
@@ -583,16 +617,19 @@ def _primitive_code(p: int, j: int) -> int:
     """Code of the lower coefficients of the j-th primitive c^k + ... over F_p.
 
     Candidates run in the order of their codes, with no randomness; c of
-    order p^k - 1 mod m makes m primitive, and so irreducible.
+    order p^k - 1 mod m makes m primitive, and so irreducible.  At k >= 2 a
+    root in F_p, gcd(m, c^p - c) != 1, is a linear factor: m is skipped.
     """
     if p > 1 << 16:
         raise ValueError(f"generic c needs p < 2^16 for its table fields, got p = {p}")
     R, k = poly_ring(p), table_degree(p)
     order, c = p**k - 1, R.from_coeffs((0, 1))
-    cofactors = [order // ell for ell in range(2, order + 1) if order % ell == 0 and is_prime(ell)]
+    divisors = {d for e in range(1, int(order**0.5) + 1) if order % e == 0 for d in (e, order // e)}
+    cofactors = [order // ell for ell in sorted(divisors) if is_prime(ell)]
     for code in range(_primitive_code(p, j - 1) + 1 if j else 1, order + 1):
         m = R.from_coeffs(_digits(code, p, k) + [1])
-        if _powmod(R, c, order, m) == R.one and all(
+        no_root = k == 1 or R.deg(R.gcd(R.sub(_powmod(R, c, p, m), c), m)) == 0
+        if no_root and _powmod(R, c, order, m) == R.one and all(
             _powmod(R, c, e, m) != R.one for e in cofactors
         ):
             return code
@@ -603,11 +640,11 @@ class TableField(CoeffDomain):
     """F_{p^k} = F_p[c]/(m), m primitive of degree k, p^k <= 2^16.
 
     A value is the code sum a_i p^i of its residue sum a_i c^i mod m (at
-    p = 2, the F_2[c] bitmask), 0 being zero.  c generates the units, so
-    log/exp tables (``array``, built in O(p^k)) give products.  Sums are XOR
-    at p = 2 and by the Zech relation a + b = a (1 + b/a) at odd p.  The row
-    update of elimination reads pivot rows in log form (``prepare``), so
-    ``subtract_multiple`` does each entry inline, without a method call.
+    p = 2, the F_2[c] bitmask), 0 being zero.  c generates the units, so log/exp
+    tables give products, built in bulk in time linear in p^k (``_powers``).
+    Sums are XOR at p = 2 and by the Zech relation a + b = a (1 + b/a) at odd
+    p.  Elimination's row update reads pivot rows in log form (``prepare``),
+    so ``subtract_multiple`` does each entry inline, without a method call.
     """
 
     c_mode = "point"
@@ -617,22 +654,10 @@ class TableField(CoeffDomain):
         self.q = p**self.k
         self.order = order = self.q - 1
         self._key = modulus
-        # c * v shifts the digits up and adds top * (c^k mod m) digitwise,
-        # read from tables over the low h and the high k - h digits
-        k, h = self.k, self.k // 2
-        neg_m = [(-a) % p for a in self.ring.coeffs(modulus)[:k]]
-        low = [_digitwise_sums(p, [t * a % p for a in neg_m[:h]]) for t in range(p)]
-        high = [_digitwise_sums(p, [t * a % p for a in neg_m[h:]]) for t in range(p)]
-        top_weight, split = p ** (k - 1), p**h
-        self._exp = exp = array("H", bytes(4 * order))  # doubled: no mod in mul
+        self._exp = _powers(p, self.k, [(-a) % p for a in self.ring.coeffs(modulus)[: self.k]])
         self._log = log = array("H", bytes(2 * self.q))
-        code = 1
-        for i in range(order):
-            exp[i] = exp[i + order] = code
+        for i, code in zip(range(order), self._exp):  # faster than a map over __setitem__
             log[code] = i
-            top, rest = divmod(code, top_weight)
-            rest *= p
-            code = low[top][rest % split] + split * high[top][rest // split]
         if p == 2:  # codes are F_2[c] bitmasks: sums are XOR, -a = a
             self.add = self.sub = operator.xor
             self.neg = operator.pos

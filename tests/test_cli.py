@@ -324,6 +324,30 @@ def test_negative_extra_above_bound_is_a_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def run_script(name, args):
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT}
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    return subprocess.run([sys.executable, str(script)] + args, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "name, option, value",
+    [
+        # -1 used to end in the ValueError traceback of is_stably_in_kernel
+        ("stability_report.py", "--extra-above-bound", "-1"),
+        # -1 used to record every cell as exceeded_cap; NaN never stopped a cell
+        ("reproduce_tables.py", "--budget-seconds", "-1"),
+        ("reproduce_tables.py", "--budget-seconds", "nan"),
+    ],
+)
+def test_script_option_below_zero_is_a_usage_error(tmp_path, name, option, value):
+    proc = run_script(name, ["--out", str(tmp_path / "out"), option, value])
+    assert proc.returncode == 2
+    assert f"argument {option}: must be at least 0: '{value}'" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_parse_failure_exit_2(tmp_path):
     proc = run_cli(
         ["check", "singular", "--poly", "x9", "--p", "2", "--n", "5", "--t", "0"],

@@ -1,11 +1,20 @@
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cherednik
 from cherednik.fields import (
     CoeffDomain,
     DomainMismatchError,
     GF2X,
     GFPX,
+    _digits,
+    _primitive_code,
+    point_field,
 )
 from cherednik.poly import ReducedPoly
 
@@ -111,3 +120,88 @@ def test_nonprime_rejected():
         CoeffDomain.prime(4)
     with pytest.raises(ValueError):
         CoeffDomain.generic(6)
+
+
+# The j-th primitive modulus of each table field, as a code: every evaluation
+# point of F_p(c), so every point count, kernel digest and certificate
+# depends on them.  The values were computed by the first search written.
+PRIMITIVE_CODES = {
+    2: (45, 57, 63),
+    3: (32, 62, 128),
+    5: (7, 13, 18),
+    7: (11, 16, 37),
+    13: (184, 188, 206),
+    37: (50, 52, 59),
+    127: (130, 139, 156),
+    131: (145, 162, 198),
+    251: (270, 277, 281),
+    257: (3, 5, 6),
+    65521: (17, 29, 34),
+}
+
+
+@pytest.mark.parametrize("p", list(PRIMITIVE_CODES))
+def test_primitive_codes_are_pinned(p):
+    assert tuple(_primitive_code(p, j) for j in range(3)) == PRIMITIVE_CODES[p]
+
+
+def reference_tables(F):
+    """exp (doubled) and log of F_p[c]/(m), one element at a time: c * v shifts
+    the digits up and adds top * (c^k mod m) digitwise, read from tables over
+    the low h and the high k - h digits."""
+    p, k, h, order = F.p, F.k, F.k // 2, F.order
+
+    def digitwise_sums(w):
+        return [
+            sum((d + e) % p * p**i for i, (d, e) in enumerate(zip(_digits(x, p, len(w)), w)))
+            for x in range(p ** len(w))
+        ]
+
+    neg_m = [(-a) % p for a in F.ring.coeffs(F.modulus)[:k]]
+    low = [digitwise_sums([t * a % p for a in neg_m[:h]]) for t in range(p)]
+    high = [digitwise_sums([t * a % p for a in neg_m[h:]]) for t in range(p)]
+    top_weight, split = p ** (k - 1), p**h
+    exp, log = array("H", bytes(4 * order)), array("H", bytes(2 * (order + 1)))
+    code = 1
+    for i in range(order):
+        exp[i] = exp[i + order] = code
+        log[code] = i
+        top, rest = divmod(code, top_weight)
+        rest *= p
+        code = low[top][rest % split] + split * high[top][rest // split]
+    return exp, log
+
+
+@pytest.mark.parametrize(
+    "p, j", [(p, 0) for p in PRIMITIVE_CODES if p <= 257] + [(2, 1), (3, 1)]
+)
+def test_bulk_tables_match_the_element_by_element_build(p, j):
+    F = point_field(p, j)
+    exp, log = reference_tables(F)
+    assert F._exp == exp
+    assert F._log == log
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_prime_field_tables_build_in_linear_time(p):
+    # one element at a time, with p tables of p entries each, the build took
+    # about half a minute at p = 4099 and would take hours at p = 65521; a
+    # fresh interpreter times it, so a slow build fails here and not below
+    code = (
+        "import time; from cherednik.fields import point_field; "
+        f"t = time.perf_counter(); point_field({p}, 0); print(time.perf_counter() - t)"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(cherednik.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
+    # at k = 1 the modulus is c + m_0, so exp lists the powers of the root -m_0
+    F = point_field(p, 0)
+    g = -F.ring.coeffs(F.modulus)[0] % p
+    assert F.k == 1 and len(F._exp) == 2 * (p - 1) and len(F._log) == p
+    power = 1
+    for i in range(2 * (p - 1)):
+        assert F._exp[i] == power
+        power = power * g % p
+    assert all(F._exp[F._log[x]] == x for x in range(1, p))
+    assert sorted(F._log[1:]) == list(range(p - 1))
