@@ -482,6 +482,15 @@ def cmd_selftest(args) -> int:
             orbit_bad.append(f"({text}, p={p}, t={t})")
     report("membership orbit walk vs plain walk (n=9)", not orbit_bad, "".join(orbit_bad[:1]))
 
+    carry_bad = []  # each walk given the record of the one before, as a stability sweep does
+    for text, p, ns, depth in [("x1^5*x2^2*x3^2", 2, (11, 13, 15), 6), ("x1^2*x2^2", 3, (5, 8, 11), 4)]:
+        held = {}
+        for ctx in (DunklContext.make(n=n, p=p, t=1) for n in ns):
+            f = parse_poly(text, ctx.nvars, ctx.domain)
+            carried, fresh = (_walk(f, depth, slot_symmetry_classes(f, ctx), ctx, h) for h in (held, None))
+            carry_bad += [f"({text}, p={p}, n={ctx.n})"] if carried != fresh else []
+    report("membership walk carried across n vs fresh walk (2 templates, 6 n)", not carry_bad, "".join(carry_bad[:1]))
+
     cat = [
         ("quad_pair", {"i": 1, "j": 2}, DunklContext.make(n=5, p=2, t=0), "singular"),
         ("skew_quad", {"i": 1, "j": 2, "k": 3}, DunklContext.make(n=4, p=3, t=0), "singular"),
@@ -554,6 +563,8 @@ def main(argv=None) -> int:
     if args.command == "check" and args.what in ("singular", "kernel"):
         if args.n is None:
             ap.error("check singular/kernel needs --n")
+    elif args.command == "check" and (args.n is not None or args.c not in (None, "generic")):
+        ap.error("check stable sweeps n itself at generic c: no --n, and no --c but generic")
     try:
         return args.func(args)
     except (ParseError,) as exc:

@@ -56,6 +56,20 @@ j = U[0] first splits each orbit into Sym(U - {j})-orbits, one per value at
 j.  The work per node no longer grows with n.  Each leaf is expanded back
 to plain terms in one pass, every representative sent straight to each
 distinct arrangement of its U-values, and only the leaves are reduced.
+``is_in_kernel`` holds its last walk, which a walk at n' > n carries when
+n' = n (mod p) and the domain, t, depth and f, padded with zero slots, are
+the same: slot n of each key moves to n', and slots n..n'-1 join the end of
+U.  A core call is safe when rest is nonempty and each split input term is
+zero on the last slot of rest.  On the moved input a safe call gives the
+moved image: ``zeros`` and the zero run's weight mu_0 grow by n' - n = 0
+(mod p), every other weight and spare-slot table stays, a zero-run slot
+raised to e' > 0 re-sorts onto a nonzero slot or the run's first, slots U
+has at n too, and a split finds the same values, 0 among them.  So a node
+is carried when its parent is (the root is) and the call that built it at n
+was safe, and a child such a call pruned stays pruned; a node with empty U
+at n had an empty rest, so no carried node has a child on a new slot.  The
+rest is computed afresh; the record keeps the leaves before expansion and
+the carried parents of unsafe calls, and each n expands its own leaves.
 """
 
 from __future__ import annotations
@@ -477,7 +491,19 @@ def _canonical(a: tuple[int, ...], classes: list[list[int]]) -> bool:
     return True
 
 
-def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext) -> dict:
+@functools.lru_cache(maxsize=1)
+def _held_walk() -> dict:
+    """The record of ``is_in_kernel``'s last walk, under "walk": one is held."""
+    return {}
+
+
+def _moved(g: Packed, n: int, n2: int) -> Packed:
+    """g with slot n of its packed keys moved to slot n2 > n, slots n..n2-1 empty."""
+    s, up = 8 * g.nb * (n - 1), 8 * g.nb * (n2 - n)
+    return Packed(g.nb, [(den, {k & (1 << s) - 1 | k >> s << s + up: v for k, v in t.items()}) for den, t in g.groups])
+
+
+def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext, held: dict | None = None) -> dict:
     """The upstairs images D^a f for the canonical multisets |a| = depth.
 
     Each multiset has one parent (drop one from its last nonzero slot), and
@@ -485,24 +511,46 @@ def _walk(f: ReducedPoly, depth: int, classes, ctx: DunklContext) -> dict:
     a branch is pruned when its raw image is empty.  A node's orbit slots U
     are the slots of the spare class (the slots f does not use, when there
     are two or more) that a has not touched.  The leaves come back as plain
-    terms.
+    terms.  With ``held``, the walk carries the record held there when the
+    module docstring allows it, and leaves its own record in its place.
     """
     nv, n = ctx.nvars, ctx.n
     used = {k for m in f.terms for k in range(1, nv + 1) if m[k - 1]}
     spare = next((tuple(cls) for cls in classes if len(cls) > 1 and used.isdisjoint(cls)), ())
-    level = {(0,) * nv: (lift_raw(f), spare)}
-    for _ in range(depth):
+    root, safe, parents, last = lift_raw(f), {}, {}, held.get("walk") if held else None
+    if last and last[:3] == (ctx.domain, ctx.t, depth) and n > last[3] and not (n - last[3]) % ctx.p:
+        pad = (0,) * (n - last[3])
+        if {m + pad: v for m, v in last[4].items()} == f.terms:
+            safe, parents = ({a + pad: g for a, g in part.items()} for part in last[5:])
+            move = functools.partial(_moved, n=last[3], n2=n)
+    full, kept, kept_parents = (1 << 8 * root.nb) - 1, {}, {}
+    level = {(0,) * nv: (root, spare)}
+    for step in range(depth, 0, -1):
         nxt = {}
         for a, (g, orbit) in level.items():
+            flagged = a in kept or not any(a)
             for j, child in _multiset_children(a, nv):
                 if not _canonical(child, classes):
                     continue
-                src, rest = g, orbit
-                if orbit and j == orbit[0]:
-                    src, rest = split_orbits(g, n, orbit, orbit[1:]), orbit[1:]
-                if (img := dunkl_z_raw(src, j, ctx, rest)).groups:
+                split = orbit and j == orbit[0]
+                rest = orbit[1:] if split else orbit
+                if child in safe:  # a safe call built it at the last n: moved, or pruned
+                    img, ok = safe[child] and move(safe[child]), True
+                else:
+                    if g is None:
+                        g = move(parents[a])
+                    src = split_orbits(g, n, orbit, rest) if split else g
+                    img, at = dunkl_z_raw(src, j, ctx, rest), 8 * root.nb * (rest[-1] - 1) if rest else 0
+                    ok = flagged and bool(rest) and not any(k >> at & full for _, t in src.groups for k in t)
+                if ok:  # the next walk may carry the child
+                    kept[child] = None if step > 1 and img and img.groups else img
+                elif flagged:
+                    kept_parents[a] = g
+                if img is None or img.groups:
                     nxt[child] = (img, rest)
         level = nxt
+    if held is not None:
+        held["walk"] = (ctx.domain, ctx.t, depth, n, f.terms, kept, kept_parents)
     return {a: split_orbits(g, n, orbit, ()) if orbit else g for a, (g, orbit) in level.items()}
 
 
@@ -533,7 +581,7 @@ def is_in_kernel(f: ReducedPoly, ctx: DunklContext, method: str | None = None) -
     tail = {"direct": 0, "cutoff": 3}.get(method)
     if tail is None:
         raise ValueError(f"unknown membership method {method!r}")
-    leaves = _walk(f, d - tail, slot_symmetry_classes(f, ctx), ctx)
+    leaves = _walk(f, d - tail, slot_symmetry_classes(f, ctx), ctx, _held_walk())
     for a in sorted(leaves):
         image = reduce_raw(leaves[a], ctx)
         if image.is_zero():

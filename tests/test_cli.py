@@ -324,6 +324,25 @@ def test_negative_extra_above_bound_is_a_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--c", "1"], ["--c", "0"], ["--n", "5"], ["--n", "5", "--c", "generic"]],
+    ids=["c1", "c0", "n5", "n5-generic"],
+)
+def test_check_stable_rejects_a_fixed_n_or_c(tmp_path, extra):
+    # the sweep runs every odd n at generic c; these used to exit 0 with that
+    # verdict, "certifying": true, as if it held for the c or n given
+    proc = run_cli(["check", "stable", "--poly", "x1^6", "--p", "2"] + extra, tmp_path)
+    assert proc.returncode == 2
+    assert "check stable sweeps n itself at generic c" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_check_stable_takes_c_generic(tmp_path):
+    proc = run_cli(["check", "stable", "--poly", "x1^6", "--p", "2", "--c", "generic"], tmp_path)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["stable"] is True
+
+
 def run_script(name, args):
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT}
     script = Path(__file__).resolve().parents[1] / "scripts" / name

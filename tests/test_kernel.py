@@ -565,6 +565,62 @@ def test_orbit_walk_matches_plain_walk(p, t, n, c, scattered, d, seed):
         assert reduce_raw(g, ctx) == reduce_raw(plain[a], ctx), (a, f)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    t=st.sampled_from([0, 1]),
+    c=st.one_of(st.just("generic"), st.integers(0, 4)),
+    n=st.integers(3, 8),
+    steps=st.integers(1, 3),
+    d=st.integers(2, 5),
+    depth=st.integers(1, 5),
+    scattered=st.booleans(),
+    seed=st.integers(0, 10**9),
+    text=st.just(None),
+)
+@example(p=3, t=1, c="generic", n=4, steps=3, d=4, depth=4, scattered=False, seed=0, text="x1^2*x2^2")
+# the heaviest stability family at the sweep's depth: degree 9, tail 3
+@example(p=2, t=1, c="generic", n=11, steps=1, d=9, depth=6, scattered=False, seed=0, text="x1^5*x2^2*x3^2")
+def test_carried_walk_matches_a_fresh_walk(p, t, c, n, steps, d, depth, scattered, seed, text):
+    # one template walked at n, n + p, ..., n + steps p and then at one n more,
+    # which leaves the residue mod p, each walk given the record of the last,
+    # against a fresh walk at each n, leaf for leaf before reduction
+    rng, held = random.Random(seed), {}
+    dom = ctx_of(n, p, t, c if c == "generic" else c % p).domain
+    k = text.count("x") if text else rng.randint(1, min(3, n - 2))
+    slots = sorted(rng.sample(range(1, n), k)) if scattered else list(range(1, k + 1))
+    g = parse_poly(text, k, dom) if text else random_homogeneous(dom, k, d, rng)
+    for m in [*range(n, n + steps * p + 1, p), n + steps * p + 1]:
+        ctx = ctx_of(m, p, t, c if c == "generic" else c % p)
+        f = _on_slots(g, slots, m - 1)
+        classes = slot_symmetry_classes(f, ctx)
+        carried = _walk(f, min(depth, d), classes, ctx, held)
+        assert held["walk"][3] == m
+        assert carried == _walk(f, min(depth, d), classes, ctx), (m, f)
+
+
+def test_the_walk_is_carried_only_where_allowed():
+    # x1^5*x2^2*x3^2 at tail 3: n = 13 carries nearly every core call from
+    # n = 11, and nothing is carried across residues mod p, depths or templates
+    ctx_of_n = {m: ctx_of(m, 2, 1) for m in (11, 12, 13)}
+    f = {m: parse_poly("x1^5*x2^2*x3^2", m - 1, ctx.domain) for m, ctx in ctx_of_n.items()}
+
+    def core_calls(held, m, depth=6, g=None):
+        g = g or f[m]
+        with mock.patch.object(kernel_module, "dunkl_z_raw", wraps=kernel_module.dunkl_z_raw) as core:
+            _walk(g, depth, slot_symmetry_classes(g, ctx_of_n[m]), ctx_of_n[m], held)
+        return core.call_count
+
+    fresh = core_calls(None, 13)
+    held = {}
+    assert core_calls(held, 11) > 100
+    assert core_calls(held, 13) < fresh // 20
+    for m, depth, g in [(12, 6, None), (13, 5, None), (13, 6, f[13].add(parse_poly("x4^9", 12, ctx_of_n[13].domain)))]:
+        held = {}
+        core_calls(held, 11)
+        assert core_calls(held, m, depth, g) == core_calls(None, m, depth, g), (m, depth)
+
+
 def test_symmetry_classes():
     ctx = ctx_of(6, 2, 1)
     f = parse_poly("x1^5*x2^2*x3^2", 5, ctx.domain)

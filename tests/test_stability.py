@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cherednik import cli, stability
+from cherednik import cli, kernel, stability
 from cherednik.fields import CoeffDomain
 from cherednik.poly import ReducedPoly, parse_poly
 from cherednik.dunkl import DunklContext, dunkl_difference
@@ -14,6 +14,10 @@ from cherednik.stability import (
     certify_mixed_kernel_generator,
     is_stably_in_kernel,
 )
+
+
+# the six families of scripts/stability_report.py
+STABILITY_FAMILIES = ["x1^6", "x1^5*x2^2*x3^2", "x1^4*x2^4", "x1^3*x2^3*x3^3", "x1^2*x2^2*x3^2*x4^2", "x1^5*x2"]
 
 
 def inst(text):
@@ -167,8 +171,8 @@ def test_negative_extra_above_bound_is_a_value_error():
 
 def test_held_tables_never_change_a_verdict(monkeypatch):
     # the core's layouts hold the spare-slot and orbit tables a walk fills:
-    # a sweep that rebuilds them for every n gives the verdict of one that
-    # finds them left warm by other families
+    # a sweep that rebuilds them for every n, and walks each n afresh, gives
+    # the verdict of one that finds them left warm by other families
     core_layout = importlib.import_module("cherednik.dunkl")._core_layout
     targets = ["x1^5*x2^2*x3^2", "x1^3*x2^3*x3^3"]
     warm = {}
@@ -178,12 +182,31 @@ def test_held_tables_never_change_a_verdict(monkeypatch):
 
     def cold(f, ctx):
         core_layout.cache_clear()
+        kernel._held_walk.cache_clear()
         return membership(f, ctx)
 
     monkeypatch.setattr(stability, "is_in_kernel", cold)
     for text in targets:
         assert is_stably_in_kernel(inst(text)).to_json() == warm[text]
         assert warm[text]["stable"] and len(warm[text]["per_n"]) >= 5
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [(text, 0) for text in STABILITY_FAMILIES] + [("x1^5*x2^2*x3^2", 2)],
+)
+def test_held_walk_never_changes_a_verdict(monkeypatch, text, extra):
+    # a sweep carries each n's membership walk to the next n; with the held
+    # walk dropped before every n it walks each n afresh, to the same verdict
+    warm = is_stably_in_kernel(inst(text), extra_above_bound=extra).to_json()
+    membership = stability.is_in_kernel
+
+    def fresh(f, ctx):
+        kernel._held_walk.cache_clear()
+        return membership(f, ctx)
+
+    monkeypatch.setattr(stability, "is_in_kernel", fresh)
+    assert is_stably_in_kernel(inst(text), extra_above_bound=extra).to_json() == warm
 
 
 def test_verdict_json_shape():
