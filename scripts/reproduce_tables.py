@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from cherednik.cli import _budget, _run_cell
+from cherednik.dunkl import default_c
 
 
 CELLS = (
@@ -31,7 +32,7 @@ def main() -> int:
     rows = []
     print(f"{'p':>2} {'n':>2} {'t':>2}  {'series':<42} {'printed':>8} {'remark':>8}")
     for p, n, t in CELLS:
-        c = "1" if t == 0 else "generic"
+        c = default_c(t)
         record = _run_cell(p, n, t, c, None, budget_seconds=args.budget_seconds)[0]
         (out / f"run_p{p}_n{n}_t{t}.json").write_text(
             json.dumps(record.to_json(), sort_keys=True, indent=1)

@@ -5,8 +5,9 @@ index is n, the action goes through the substitution
 x_i -> -(x_1 + ... + x_{n-1}) and a re-expansion to reduced form.
 
 The divided difference (1 - s_{ik})/(x_i - x_k) is computed monomial-wise by
-the geometric-sum closed form; a lift-subtract-divide path is kept as an
-independent cross-check (and is the primary route when one index is n).
+the geometric-sum closed form; when one index is n, f is lifted to n slots
+first and the result reduced.  A subtract-and-divide path for indices below
+n (``method="lift"``) is kept as an independent cross-check.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .fields import CoeffDomain, RationalFunctionField, is_prime
 from .poly import ParseError, ReducedPoly, format_poly, format_row, monomial_name, monomials_of_degree, parse_poly, random_homogeneous
-from .dunkl import DunklContext, check_commutators, dunkl, dunkl_z, reduce_raw
+from .dunkl import DunklContext, check_commutators, default_c, dunkl, dunkl_z, reduce_raw
 from .kernel import (
     GradedKernel,
     _canonical,
@@ -59,12 +59,6 @@ DEFAULT_VARIANT = "remark_consistent"
 
 def _eprint(*args):
     print(*args, file=sys.stderr)
-
-
-def _default_c(t: int, args_c: str | None) -> str:
-    if args_c is not None:
-        return args_c
-    return "1" if t == 0 else "generic"
 
 
 def _conjecture_applies(p: int, c: str) -> bool:
@@ -174,7 +168,7 @@ def _cached_cell(cache, p, n, t, c, max_degree, budget_seconds=None, use_cache=T
 
 
 def cmd_hilbert(args) -> int:
-    c = _default_c(args.t, args.c)
+    c = default_c(args.t, args.c)
     try:
         ctx = DunklContext.make(n=args.n, p=args.p, t=args.t, c=c)
         if c == "generic" and args.p > 1 << 16:  # its point fields are tables of p^k <= 2^16
@@ -242,7 +236,7 @@ def cmd_check(args) -> int:
             )
             return EXIT_OK
         t = args.t if args.t is not None else 0
-        c = _default_c(t, args.c)
+        c = default_c(t, args.c)
         ctx = DunklContext.make(n=args.n, p=args.p, t=t, c=c)
         f = parse_poly(args.poly, ctx.nvars, ctx.domain)
         out = {
@@ -316,7 +310,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = RunCache(args.cache_dir)
-    c = _default_c(args.t, args.c)
+    c = default_c(args.t, args.c)
     csv_path = out_dir / "summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -563,6 +557,8 @@ def main(argv=None) -> int:
     if args.command == "check" and args.what in ("singular", "kernel"):
         if args.n is None:
             ap.error("check singular/kernel needs --n")
+        if args.experimental or args.extra_above_bound:
+            ap.error("--experimental and --extra-above-bound apply only to check stable")
     elif args.command == "check" and (args.n is not None or args.c not in (None, "generic")):
         ap.error("check stable sweeps n itself at generic c: no --n, and no --c but generic")
     try:

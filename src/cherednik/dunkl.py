@@ -29,6 +29,7 @@ D_{y_i} through divided differences, the oracle for the core and matrices.
 from __future__ import annotations
 
 import logging
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +37,16 @@ from typing import NamedTuple
 
 from .fields import CoeffDomain, RationalFunctionField, RingAdapter
 from .poly import Monomial, ReducedPoly, monomials_of_degree, random_homogeneous
-from .action import Transposition, _neg_sum_power_mod, apply_transposition, reduced_variable
+from .action import Transposition, _neg_sum_power_mod, apply_transposition, divided_difference, reduced_variable
 
 log = logging.getLogger(__name__)
+
+
+def default_c(t: int, c: str | int | None = None) -> str | int:
+    """c itself if given, else "1" at t=0 and "generic" at t=1."""
+    if c is not None:
+        return c
+    return "1" if t == 0 else "generic"
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class DunklContext:
     """Parameters (n, t, domain) plus derived data for one engine run.
 
     Theorems about the quotient require n = 1 (mod p); the engine itself
-    accepts any n >= 2 and merely records r = n mod p for reporting.
+    accepts any n >= 2.
     """
 
     n: int
@@ -67,15 +75,10 @@ class DunklContext:
     def p(self) -> int:
         return self.domain.p
 
-    @property
-    def r(self) -> int:
-        return self.n % self.p
-
     @staticmethod
     def make(n: int, p: int, t: int, c: str | int = None) -> "DunklContext":
-        """Build a context; c defaults to 1 for t=0 and 'generic' for t=1."""
-        if c is None:
-            c = 1 if t == 0 else "generic"
+        """Build a context; c defaults as in ``default_c``."""
+        c = default_c(t, c)
         if c == "generic":
             dom = CoeffDomain.generic(p)
         else:
@@ -430,8 +433,6 @@ def dunkl(f: ReducedPoly, i: int, ctx: DunklContext) -> ReducedPoly:
     dom = ctx.domain
     n = ctx.n
     nv = ctx.nvars
-    from .action import divided_difference
-
     out = ReducedPoly.zero(dom, nv)
     if ctx.t == 1 and i < n:
         dterms = {}
@@ -528,10 +529,8 @@ def check_commutators(
     Every (i, j, a) triple with i < j <= n, a <= n is exercised for each
     random polynomial; counts in the report are individual identities.
     """
-    import random as _random
-
     dd = dunkl_difference_fn or dunkl_difference
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     checked = 0
     failures: list[CommutatorFailure] = []
     for _ in range(trials):

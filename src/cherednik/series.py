@@ -37,25 +37,17 @@ def _poly_mul(a, b) -> tuple[int, ...]:
 
 def _poly_divide_exact(num, den):
     """Exact division of integer polynomials; returns None if inexact."""
-    num = list(num)
-    den = list(_trim(den))
+    rem, den = list(_trim(num)), _trim(den)
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    q = [0] * max(0, len(num) - len(den) + 1)
-    while _trim(num):
-        tn = _trim(num)
-        if len(tn) < len(den):
+    q = [0] * max(0, len(rem) - len(den) + 1)
+    for sh in reversed(range(len(q))):  # top down: the lead of rem sits at sh + len(den) - 1
+        q[sh], inexact = divmod(rem[sh + len(den) - 1], den[-1])
+        if inexact:
             return None
-        lead, dlead = tn[-1], den[-1]
-        if lead % dlead:
-            return None
-        coef = lead // dlead
-        sh = len(tn) - len(den)
-        q[sh] = coef
-        num = list(tn)
         for i, x in enumerate(den):
-            num[sh + i] -= coef * x
-    return _trim(q)
+            rem[sh + i] -= q[sh] * x
+    return None if any(rem) else tuple(q)
 
 
 @dataclass(frozen=True)
@@ -74,9 +66,6 @@ class Series:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def total(self) -> int:
-        return sum(self.coeffs)
 
     def substitute_power(self, p: int) -> "Series":
         """z -> z^p."""
@@ -174,21 +163,15 @@ def conjectured_hilbert(
         return Series(h0.coeffs, f"conjecture_{variant}", label)
     if t != 1:
         raise ValueError("t must be 0 or 1")
-    lead = q_bracket(p).pow(n - 1)
     if variant == "remark_consistent":
-        out = lead.mul(h0.substitute_power(p))
-        label = f"[{p}]_z^{n-1} * h0(z^{p})"
+        inner, label = h0, f"[{p}]_z^{n-1} * h0(z^{p})"
     elif variant == "as_printed":
-        inner = (
-            q_factorial(r)
-            .substitute_power(p)
-            .mul(q_factorial(p).substitute_power(p))
-            .mul(q_r_polynomial(cong).substitute_power(p))
-        )
-        out = lead.mul(inner)
+        inner = q_factorial(r).mul(q_factorial(p)).mul(q_r_polynomial(cong))
         label = f"[{p}]_z^{n-1} * [{r}]_zp! * [{p}]_zp! * Q_{r}({n},z^p)"
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # inner(z^p) is long and sparse: as self, its zeros are skipped by mul
+    out = inner.substitute_power(p).mul(q_bracket(p).pow(n - 1))
     return Series(out.coeffs, f"conjecture_{variant}", label)
 
 
@@ -211,24 +194,16 @@ def closed_form_t1_p2(n: int) -> Series:
 
 
 def baby_verma_series(n: int, p: int, t: int) -> Series:
-    """Hilbert series of the baby Verma quotient, from the printed products.
+    """Hilbert series of the baby Verma quotient, [2s]_z [3s]_z ... [ns]_z.
 
-    t=1: (1-z^{2p})(1-z^{3p})...(1-z^{np}) / (1-z)^{n-1}
-    t=0: (1-z^2)(1-z^3)...(1-z^n) / (1-z)^{n-1}
+    With step s = p at t=1 and s = 1 at t=0 this is the printed quotient
+    (1-z^{2s})(1-z^{3s})...(1-z^{ns}) / (1-z)^{n-1}, as (1-z^m)/(1-z) = [m]_z.
     """
     step = p if t == 1 else 1
-    num = (1,)
+    out = Series((1,), "baby_verma")
     for j in range(2, n + 1):
-        factor = [0] * (j * step + 1)
-        factor[0] = 1
-        factor[j * step] = -1
-        num = _poly_mul(num, tuple(factor))
-    q = _poly_divide_exact(num, Series((1, -1)).pow(n - 1).coeffs)
-    if q is None:
-        raise ArithmeticError("baby Verma quotient failed to divide exactly")
-    if any(a < 0 for a in q):
-        raise ArithmeticError("baby Verma series has a negative coefficient")
-    return Series(q, "baby_verma")
+        out = out.mul(q_bracket(j * step))
+    return out
 
 
 def computed_hilbert(kernel) -> Series:

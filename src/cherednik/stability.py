@@ -13,10 +13,11 @@ verdict, and the larger statement bound drives the sweep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .fields import CoeffDomain, RationalFunctionField
-from .poly import Monomial, ReducedPoly, format_poly
+from .poly import Monomial, ReducedPoly, format_poly, parse_poly
 from .dunkl import DunklContext
 from .kernel import Membership, is_in_kernel
 
@@ -75,9 +76,6 @@ class StabilityInstance:
 
     @staticmethod
     def from_text(text: str, p: int = 2) -> "StabilityInstance":
-        from .poly import parse_poly
-        import re
-
         ids = [int(t) for t in re.findall(r"x(\d+)", text)]
         nvars = max(ids) if ids else 1
         dom = CoeffDomain.generic(p)
@@ -221,8 +219,6 @@ def certify_mixed_kernel_generator() -> MixedGeneratorReport:
     x1 * g  =  (x1-multiple)  +  c * x1^2 x2^2 x3^5,  and all three of
     g, the multiple, and x1^2 x2^2 x3^5 lie stably in ker B.
     """
-    from .poly import parse_poly
-
     dom = CoeffDomain.generic(2)
     g = parse_poly(MIXED_GENERATOR, 3, dom)
     mult = parse_poly(MIXED_X1_MULTIPLE, 3, dom)

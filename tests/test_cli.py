@@ -338,6 +338,20 @@ def test_check_stable_rejects_a_fixed_n_or_c(tmp_path, extra):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("what,poly", [("kernel", "x1^2"), ("singular", "x1^2+x1*x2+x2^2")])
+@pytest.mark.parametrize(
+    "extra",
+    [["--experimental"], ["--extra-above-bound", "3"], ["--extra-above-bound", "3", "--experimental"]],
+    ids=["experimental", "extra3", "both"],
+)
+def test_check_singular_and_kernel_reject_the_stable_flags(tmp_path, what, poly, extra):
+    # both flags steer only the stable sweep; these used to exit 0 with the plain verdict
+    proc = run_cli(["check", what, "--poly", poly, "--p", "2", "--n", "3", "--t", "0"] + extra, tmp_path)
+    assert proc.returncode == 2
+    assert "--experimental and --extra-above-bound apply only to check stable" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_check_stable_takes_c_generic(tmp_path):
     proc = run_cli(["check", "stable", "--poly", "x1^6", "--p", "2", "--c", "generic"], tmp_path)
     assert proc.returncode == 0 and json.loads(proc.stdout)["stable"] is True

@@ -5,7 +5,9 @@ tests call is surface to delete, not to keep: this test parses the package
 with ``ast`` and fails on any such name.  A reference is a name, an attribute
 or a string constant in ``src/`` (not ``__init__.py``, whose re-exports call
 nothing), ``scripts/`` or ``perfbench/``; the string case keeps the names
-``perfbench/tracer.py`` binds by string, such as ``strip_row``.
+``perfbench/tracer.py`` binds by string, such as ``strip_row``.  A method or
+property is reached only through an attribute (``.name``) or a string: a bare
+name of the same spelling is a local variable, not a reference to it.
 """
 
 import ast
@@ -35,19 +37,20 @@ def definitions():
                         yield path.stem, f"{node.name}.{sub.name}"
 
 
-def references() -> set[str]:
+def references() -> tuple[set[str], set[str]]:
+    """(bare names, attributes and string constants) referenced outside the tests."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    refs = set()
+    names, attrs = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.add(node.value)
-    return refs
+                attrs.add(node.value)
+    return names, attrs
 
 
 def is_dunder(name: str) -> bool:
@@ -55,12 +58,12 @@ def is_dunder(name: str) -> bool:
 
 
 def test_no_public_name_is_called_only_by_tests():
-    refs = references()
+    names, attrs = references()
     unused = [
         f"{module}.{name}"
         for module, name in definitions()
         if not is_dunder(name.rsplit(".", 1)[-1])
-        and name.rsplit(".", 1)[-1] not in refs
+        and name.rsplit(".", 1)[-1] not in (attrs if "." in name else names | attrs)
         and name not in KEPT
     ]
     assert unused == []
